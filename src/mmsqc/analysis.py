@@ -3,7 +3,6 @@ window-binned population deviations, per-DOF mean absolute errors at selected
 times, and time-resolved coordinate distributions.
 """
 
-import concurrent.futures
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,13 +14,11 @@ from mmsqc.sqc import (
     Trajectory,
     TrajectoryEnsemble,
     WindowConfig,
-    _worker_chunks,
-    pack_state,
+    _map_chunks,
+    _sample_starts,
     populations,
-    sample_initial,
 )
-from mmsqc.surrogate import LstmParams, _FastParams, _forward
-from mmsqc.streams import substream
+from mmsqc.surrogate import LstmParams, _forward
 
 
 class RolloutError(RuntimeError):
@@ -54,7 +51,7 @@ class RolloutConfig:
             raise ValueError("record_dt must be positive")
 
 
-def _rollout_vectors(x0: np.ndarray, fp: _FastParams, total_steps: int,
+def _rollout_vectors(x0: np.ndarray, params: LstmParams, total_steps: int,
                      seq_len: int) -> np.ndarray:
     """Chunked autoregression: (total_steps + 1, D) including x0 at step 0."""
     out = np.empty((total_steps + 1, x0.shape[0]))
@@ -64,7 +61,7 @@ def _rollout_vectors(x0: np.ndarray, fp: _FastParams, total_steps: int,
     # a diverging prediction overflows to inf; the finite check reports it
     with np.errstate(over="ignore", invalid="ignore"):
         while done < total_steps:
-            ys, _ = _forward(fp, x, seq_len)
+            ys, _ = _forward(params, x, seq_len)
             ys = ys[0]                                    # (L-1, D)
             take = min(len(ys), total_steps - done)
             if not np.all(np.isfinite(ys[:take])):
@@ -82,17 +79,16 @@ def rollout_trajectory(x0, params: LstmParams, total_steps: int, seq_len: int,
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (params.dim,):
         raise ValueError(f"x0 has shape {x0.shape}, network expects ({params.dim},)")
-    data = _rollout_vectors(x0, _FastParams(params), total_steps, seq_len)
+    data = _rollout_vectors(x0, params, total_steps, seq_len)
     return Trajectory(record_dt, data, n_states)
 
 
-def _rollout_chunk(params: LstmParams, starts: np.ndarray, total_steps: int,
-                   seq_len: int, offset: int) -> np.ndarray:
-    fp = _FastParams(params)
+def _rollout_chunk(starts: np.ndarray, offset: int, params: LstmParams,
+                   total_steps: int, seq_len: int) -> np.ndarray:
     out = np.empty((starts.shape[0], total_steps + 1, starts.shape[1]))
     for i in range(starts.shape[0]):
         try:
-            out[i] = _rollout_vectors(starts[i], fp, total_steps, seq_len)
+            out[i] = _rollout_vectors(starts[i], params, total_steps, seq_len)
         except RolloutError as exc:
             raise RolloutError(exc.step, trajectory=offset + i) from None
     return out
@@ -111,23 +107,9 @@ def rollout_ensemble(model: SiteExcitonModel, params: LstmParams,
             f"checkpoint dimension {params.dim} does not match model "
             f"{model.label} dimension {model.dim}"
         )
-    starts = np.empty((cfg.n_traj, model.dim))
-    for i in range(cfg.n_traj):
-        rng = substream(cfg.seed, "sampling", i)
-        starts[i] = pack_state(sample_initial(model, cfg.init_state, window, rng))
-
-    data = np.empty((cfg.n_traj, cfg.total_steps + 1, model.dim))
-    chunks = _worker_chunks(cfg.n_traj, cfg.workers)
-    if len(chunks) == 1:
-        a, b = chunks[0]
-        data[a:b] = _rollout_chunk(params, starts[a:b], cfg.total_steps, cfg.seq_len, a)
-    else:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-            futures = [(a, b, pool.submit(_rollout_chunk, params, starts[a:b],
-                                          cfg.total_steps, cfg.seq_len, a))
-                       for a, b in chunks]
-            for a, b, fut in futures:
-                data[a:b] = fut.result()
+    starts = _sample_starts(model, cfg.n_traj, cfg.init_state, cfg.seed, window)
+    data = _map_chunks(_rollout_chunk, starts, cfg.workers,
+                       params, cfg.total_steps, cfg.seq_len)
     return TrajectoryEnsemble(cfg.record_dt, data, model.n_states,
                               model_label=model.label, seed=cfg.seed)
 

@@ -23,13 +23,6 @@ class UsageError(Exception):
     pass
 
 
-def _env_workers() -> int:
-    try:
-        return max(1, int(os.environ.get("MMSQC_WORKERS", "1")))
-    except ValueError:
-        return 1
-
-
 def _resolve(args: argparse.Namespace, config: dict, command: str,
              key: str, default, cast=None):
     """flags > config[command][key] > config[key] > default."""
@@ -96,7 +89,7 @@ def cmd_simulate(args, config) -> int:
     record_dt = _positive(get("record-dt", 1.0, float), "record-dt")
     dt = _positive(get("dt", 0.01, float), "dt")
     seed = get("seed", 0, int)
-    workers = _positive(get("workers", _env_workers(), int), "workers")
+    workers = _positive(get("workers", os.environ.get("MMSQC_WORKERS", 1), int), "workers")
     init_state = _init_state_index(get("init-state", 1, int), model)
     out = _require(get("out", None, str), "out")
 
@@ -177,7 +170,7 @@ def cmd_rollout(args, config) -> int:
     steps = _positive(_require(get("steps", None, int), "steps"), "steps")
     record_dt = _positive(get("record-dt", 1.0, float), "record-dt")
     seed = get("seed", 0, int)
-    workers = _positive(get("workers", _env_workers(), int), "workers")
+    workers = _positive(get("workers", os.environ.get("MMSQC_WORKERS", 1), int), "workers")
     init_state = _init_state_index(get("init-state", 1, int), model)
     out = _require(get("out", None, str), "out")
 

@@ -6,7 +6,6 @@ train/validation (validation count = floor(n/4)); the merged sets are then
 globally shuffled, keeping the internal time order of every sequence intact.
 """
 
-import hashlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,7 +17,6 @@ from mmsqc.sqc import (
     Trajectory,
     TrajectoryEnsemble,
     pack_state,
-    unpack_state,
 )
 from mmsqc.streams import substream
 
@@ -29,10 +27,6 @@ _DATASET_VERSION = 1
 def vectorize(state: PhaseSpaceState) -> np.ndarray:
     """Flatten a phase-space state into the canonical x_e|p_e|Q|P vector."""
     return pack_state(state)
-
-
-def unvectorize(vec, n_states: int, t: float = 0.0) -> PhaseSpaceState:
-    return unpack_state(vec, n_states, t=t)
 
 
 def split_sequences(traj: Trajectory, seq_len: int) -> np.ndarray:
@@ -146,34 +140,3 @@ def build_dataset(ensemble: TrajectoryEnsemble, seq_len: int,
                            source_hash=ensemble.content_hash(),
                            split_seed=split_seed)
 
-
-def standardize(dataset: SequenceDataset):
-    """Optional per-variable standardization hook; the default pipeline
-    trains on raw variables (mapping and oscillator coordinates are O(1)
-    by construction).
-
-    Returns (standardized dataset, mean, std) with statistics taken from the
-    training set; `destandardize` inverts the transform.
-    """
-    flat = dataset.train.reshape(-1, dataset.dim)
-    mean = flat.mean(axis=0)
-    std = flat.std(axis=0)
-    std = np.where(std > 0, std, 1.0)
-    scaled = SequenceDataset(dataset.seq_len, dataset.dim,
-                             (dataset.train - mean) / std,
-                             (dataset.validation - mean) / std,
-                             source_hash=dataset.source_hash,
-                             split_seed=dataset.split_seed)
-    return scaled, mean, std
-
-
-def destandardize(values: np.ndarray, mean: np.ndarray, std: np.ndarray) -> np.ndarray:
-    return values * std + mean
-
-
-def file_sha256(path: str) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(block)
-    return digest.hexdigest()

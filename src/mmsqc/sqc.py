@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from mmsqc import arrayio
-from mmsqc.models import HBAR_EV_FS, SiteExcitonModel
+from mmsqc.models import HBAR_EV_FS, SiteExcitonModel, bath_energy, diabatic_elements
 from mmsqc.streams import substream
 
 STATE_ORDERING = "x_e|p_e|Q|P"
@@ -134,15 +134,14 @@ def _split(Y: np.ndarray, ne: int, nv: int):
 
 def _batch_energy(model: SiteExcitonModel, Y: np.ndarray, gamma: float) -> np.ndarray:
     xe, pe, Q, P = _split(Y, model.n_states, model.n_modes)
-    energy = np.sum(0.5 * model.omega * (Q**2 + P**2), axis=-1)
+    energy = bath_energy(model, Q, P)
     weight = 0.5 * (xe**2 + pe**2) - gamma
-    v = model.v
-    for k, sl in enumerate(model.state_slices):
-        diag_k = v[k, k] + np.sum(model.kappa[sl] * Q[..., sl], axis=-1)
-        energy += weight[..., k] * diag_k
+    diag, offdiag = diabatic_elements(model, Q)
+    for k in range(model.n_states):
+        energy += weight[..., k] * diag[..., k]
         for l in range(k + 1, model.n_states):
-            if v[k, l] != 0.0:
-                energy += v[k, l] * (xe[..., k] * xe[..., l] + pe[..., k] * pe[..., l])
+            if offdiag[k, l] != 0.0:
+                energy += offdiag[k, l] * (xe[..., k] * xe[..., l] + pe[..., k] * pe[..., l])
     return energy
 
 
@@ -175,6 +174,10 @@ class _DerivKernel:
     independence matters: only elementwise ops, row gathers, per-state loops
     and fixed-tree reductions, so each trajectory's derivative never depends
     on the batch shape. Constants are pre-divided by hbar.
+
+    It computes the diagonal V_kk + kappa.Q itself, not through
+    models.diabatic_elements, to use the hbar-scaled constants and the
+    batch-shape-invariant _tree_sum_rows.
     """
 
     def __init__(self, model: SiteExcitonModel, gamma: float, hbar: float):
@@ -363,10 +366,6 @@ class Trajectory:
     def state(self, i: int) -> PhaseSpaceState:
         return unpack_state(self.data[i], self.n_states, t=float(i * self.record_dt))
 
-    @property
-    def states(self) -> list[PhaseSpaceState]:
-        return [self.state(i) for i in range(self.n_records)]
-
 
 @dataclass
 class TrajectoryEnsemble:
@@ -513,15 +512,36 @@ def propagate(model: SiteExcitonModel, state: PhaseSpaceState,
     return Trajectory(record_dt, batch[0], model.n_states)
 
 
-def _worker_chunks(n: int, workers: int) -> list[tuple[int, int]]:
+def _sample_starts(model: SiteExcitonModel, n_traj: int, init_state: int,
+                   seed: int, window: WindowConfig) -> np.ndarray:
+    """Packed initial conditions, (n_traj, dim); trajectory i draws from the
+    (seed, "sampling", i) stream."""
+    starts = np.empty((n_traj, model.dim))
+    for i in range(n_traj):
+        rng = substream(seed, "sampling", i)
+        starts[i] = pack_state(sample_initial(model, init_state, window, rng))
+    return starts
+
+
+def _map_chunks(work, starts: np.ndarray, workers: int, *args) -> np.ndarray:
+    """Stack work(starts[a:b], a, *args) over contiguous trajectory chunks,
+    one per worker process; a single chunk runs in this process. `a` is the
+    chunk's first absolute trajectory index, for error messages. `work` must
+    be a module-level function so it can be sent to the workers."""
+    n = starts.shape[0]
     workers = max(1, min(workers, n))
+    if workers == 1:
+        return work(starts, 0, *args)
     bounds = np.linspace(0, n, workers + 1).astype(int)
-    return [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
+    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+        futures = [pool.submit(work, starts[a:b], int(a), *args)
+                   for a, b in zip(bounds[:-1], bounds[1:])]
+        return np.concatenate([fut.result() for fut in futures])
 
 
-def _propagate_chunk(model: SiteExcitonModel, Y0: np.ndarray, icfg: IntegratorConfig,
-                     t_end: float, record_dt: float, gamma: float,
-                     offset: int) -> np.ndarray:
+def _propagate_chunk(Y0: np.ndarray, offset: int, model: SiteExcitonModel,
+                     icfg: IntegratorConfig, t_end: float, record_dt: float,
+                     gamma: float) -> np.ndarray:
     try:
         return _propagate_batch(model, Y0, icfg, t_end, record_dt, gamma)
     except IntegrationError as exc:
@@ -541,25 +561,10 @@ def run_ensemble(model: SiteExcitonModel, n_traj: int, init_state: int, seed: in
     """
     if n_traj < 1:
         raise ValueError("n_traj must be at least 1")
-    Y0 = np.empty((n_traj, model.dim))
-    for i in range(n_traj):
-        rng = substream(seed, "sampling", i)
-        Y0[i] = pack_state(sample_initial(model, init_state, window, rng))
-
-    n_rec = _grid_steps(t_end, record_dt, "t_end") + 1
-    data = np.empty((n_traj, n_rec, model.dim))
-    chunks = _worker_chunks(n_traj, workers)
-    if len(chunks) == 1:
-        a, b = chunks[0]
-        data[a:b] = _propagate_chunk(model, Y0[a:b], icfg, t_end, record_dt,
-                                     window.gamma, a)
-    else:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-            futures = [(a, b, pool.submit(_propagate_chunk, model, Y0[a:b], icfg,
-                                          t_end, record_dt, window.gamma, a))
-                       for a, b in chunks]
-            for a, b, fut in futures:
-                data[a:b] = fut.result()
+    _grid_steps(t_end, record_dt, "t_end")   # fail before starting workers
+    Y0 = _sample_starts(model, n_traj, init_state, seed, window)
+    data = _map_chunks(_propagate_chunk, Y0, workers,
+                       model, icfg, t_end, record_dt, window.gamma)
     return TrajectoryEnsemble(record_dt, data, model.n_states,
                               model_label=model.label, seed=seed)
 

@@ -9,8 +9,9 @@ read-out y_{t-1} (D-dimensional feedback). One LSTM layer, linear read-out:
     c' = f*c + i*g,  h' = o*tanh(c'),  y = W_d h' + b_d
 
 Backpropagation through time follows the same unrolling, including the
-gradient path through fed-back outputs. Internally the four gates are stacked
-into single (4H, .) matrices so each cell step is two matmuls.
+gradient path through fed-back outputs. All weights live in one flat vector,
+in which the four gates form stacked (4H, .) row blocks, so each cell step is
+two matmuls and the optimizer and checkpoints work on that vector whole.
 """
 
 import time
@@ -30,69 +31,67 @@ TENSOR_FIELDS = ("W_i", "W_f", "W_o", "W_g", "U_i", "U_f", "U_o", "U_g",
                  "b_i", "b_f", "b_o", "b_g", "W_d", "b_d")
 
 
-@dataclass
+def _flat_size(dim: int, hidden: int) -> int:
+    return 4 * hidden * (dim + hidden + 1) + dim * (hidden + 1)
+
+
 class LstmParams:
-    """Gate weights (H x D), recurrent weights (H x H), biases (H) and the
-    dense read-out W_d (D x H), b_d (D)."""
+    """All weights in one contiguous float64 vector `flat`, in the checkpoint
+    payload order (TENSOR_FIELDS).
 
-    W_i: np.ndarray
-    W_f: np.ndarray
-    W_o: np.ndarray
-    W_g: np.ndarray
-    U_i: np.ndarray
-    U_f: np.ndarray
-    U_o: np.ndarray
-    U_g: np.ndarray
-    b_i: np.ndarray
-    b_f: np.ndarray
-    b_o: np.ndarray
-    b_g: np.ndarray
-    W_d: np.ndarray
-    b_d: np.ndarray
+    The gate-stacked W4 (4H x D), U4 (4H x H), b4 (4H) in i|f|o|g order and
+    the dense read-out W_d (D x H), b_d (D) are views of `flat`, and the
+    per-gate names W_i .. b_g (H x D, H x H, H) are row blocks of W4, U4, b4.
+    Writing through any name changes the one vector the model runs on.
+    """
 
-    @property
-    def dim(self) -> int:
-        return self.W_i.shape[1]
+    def __init__(self, flat: np.ndarray, dim: int, hidden: int):
+        if flat.shape != (_flat_size(dim, hidden),):
+            raise ValueError(f"flat vector of shape {flat.shape} does not fit "
+                             f"D={dim}, H={hidden}")
+        self.flat = flat
+        self.dim = dim
+        self.hidden = hidden
+        H4 = 4 * hidden
+        ends = np.cumsum([H4 * dim, H4 * hidden, H4, dim * hidden])
+        self.W4 = flat[:ends[0]].reshape(H4, dim)
+        self.U4 = flat[ends[0]:ends[1]].reshape(H4, hidden)
+        self.b4 = flat[ends[1]:ends[2]]
+        self.W_d = flat[ends[2]:ends[3]].reshape(dim, hidden)
+        self.b_d = flat[ends[3]:]
+        for k, gate in enumerate("ifog"):
+            rows = slice(k * hidden, (k + 1) * hidden)
+            setattr(self, f"W_{gate}", self.W4[rows])
+            setattr(self, f"U_{gate}", self.U4[rows])
+            setattr(self, f"b_{gate}", self.b4[rows])
 
-    @property
-    def hidden(self) -> int:
-        return self.W_i.shape[0]
+    def __reduce__(self):
+        # pickle the vector once; the views are rebuilt on the other side
+        return (LstmParams, (self.flat, self.dim, self.hidden))
 
     def tensors(self):
         return [(name, getattr(self, name)) for name in TENSOR_FIELDS]
 
     def copy(self) -> "LstmParams":
-        return LstmParams(**{name: arr.copy() for name, arr in self.tensors()})
+        return LstmParams(self.flat.copy(), self.dim, self.hidden)
 
     @classmethod
     def zeros(cls, dim: int, hidden: int) -> "LstmParams":
-        shapes = _tensor_shapes(dim, hidden)
-        return cls(**{name: np.zeros(shape) for name, shape in shapes.items()})
-
-
-def _tensor_shapes(dim: int, hidden: int) -> dict:
-    shapes = {}
-    for gate in "ifog":
-        shapes[f"W_{gate}"] = (hidden, dim)
-        shapes[f"U_{gate}"] = (hidden, hidden)
-        shapes[f"b_{gate}"] = (hidden,)
-    shapes["W_d"] = (dim, hidden)
-    shapes["b_d"] = (dim,)
-    return shapes
+        return cls(np.zeros(_flat_size(dim, hidden)), dim, hidden)
 
 
 def init_params(dim: int, hidden: int, rng: np.random.Generator) -> LstmParams:
-    """Uniform +-sqrt(6/(fan_in+fan_out)) per tensor; forget bias starts at 1."""
-    values = {}
-    for name, shape in _tensor_shapes(dim, hidden).items():
-        if name.startswith("b"):
-            values[name] = np.zeros(shape)
-        else:
-            fan_out, fan_in = shape
-            limit = np.sqrt(6.0 / (fan_in + fan_out))
-            values[name] = rng.uniform(-limit, limit, size=shape)
-    values["b_f"] = np.ones(hidden)
-    return LstmParams(**values)
+    """Uniform +-sqrt(6/(fan_in+fan_out)) per weight tensor, drawn in the order
+    W_i, U_i, W_f, U_f, W_o, U_o, W_g, U_g, W_d; biases start at zero except
+    the forget bias, which starts at 1."""
+    params = LstmParams.zeros(dim, hidden)
+    for name in [f"{w}_{gate}" for gate in "ifog" for w in "WU"] + ["W_d"]:
+        arr = getattr(params, name)
+        fan_out, fan_in = arr.shape
+        limit = np.sqrt(6.0 / (fan_in + fan_out))
+        arr[...] = rng.uniform(-limit, limit, size=arr.shape)
+    params.b_f[:] = 1.0
+    return params
 
 
 def _sigmoid(z):
@@ -101,27 +100,12 @@ def _sigmoid(z):
         return 1.0 / (1.0 + np.exp(-z))
 
 
-class _FastParams:
-    """Gate tensors stacked in i|f|o|g order for two-matmul cell steps."""
-
-    __slots__ = ("W4", "U4", "b4", "W_d", "b_d", "dim", "hidden")
-
-    def __init__(self, params: LstmParams):
-        self.W4 = np.concatenate([params.W_i, params.W_f, params.W_o, params.W_g])
-        self.U4 = np.concatenate([params.U_i, params.U_f, params.U_o, params.U_g])
-        self.b4 = np.concatenate([params.b_i, params.b_f, params.b_o, params.b_g])
-        self.W_d = params.W_d
-        self.b_d = params.b_d
-        self.dim = params.dim
-        self.hidden = params.hidden
-
-
-def _cell(fp: _FastParams, x, h, c):
+def _cell(params: LstmParams, x, h, c):
     """One cell step on (B, .) arrays; returns (h', c', cache)."""
-    H = fp.hidden
-    z = x @ fp.W4.T
-    z += h @ fp.U4.T
-    z += fp.b4
+    H = params.hidden
+    z = x @ params.W4.T
+    z += h @ params.U4.T
+    z += params.b4
     i = _sigmoid(z[:, :H])
     f = _sigmoid(z[:, H:2 * H])
     o = _sigmoid(z[:, 2 * H:3 * H])
@@ -134,31 +118,27 @@ def _cell(fp: _FastParams, x, h, c):
     return h_new, c_new, cache
 
 
-def _forward(fp: _FastParams, x0: np.ndarray, seq_len: int):
+def _forward(params: LstmParams, x0: np.ndarray, seq_len: int):
     """Unrolled batch forward; x0 is (B, D). Returns ((B, L-1, D), caches)."""
     B = x0.shape[0]
-    h = np.zeros((B, fp.hidden))
+    h = np.zeros((B, params.hidden))
     c = np.zeros_like(h)
     x = x0
     ys, caches = [], []
     for _ in range(seq_len - 1):
-        h, c, cache = _cell(fp, x, h, c)
-        y = h @ fp.W_d.T + fp.b_d
+        h, c, cache = _cell(params, x, h, c)
+        y = h @ params.W_d.T + params.b_d
         ys.append(y)
         caches.append(cache)
         x = y
     return np.stack(ys, axis=1), caches
 
 
-def _backward(fp: _FastParams, caches: list, dY: np.ndarray) -> LstmParams:
+def _backward(params: LstmParams, caches: list, dY: np.ndarray) -> LstmParams:
     """Gradients for a batched (B, steps, D) loss gradient; sums over batch."""
     B, steps, _ = dY.shape
-    H = fp.hidden
-    dW4 = np.zeros_like(fp.W4)
-    dU4 = np.zeros_like(fp.U4)
-    db4 = np.zeros(4 * H)
-    dW_d = np.zeros_like(fp.W_d)
-    db_d = np.zeros_like(fp.b_d)
+    H = params.hidden
+    grads = LstmParams.zeros(params.dim, H)
     dx_next = None
     dh_next = np.zeros((B, H))
     dc_next = np.zeros((B, H))
@@ -172,9 +152,9 @@ def _backward(fp: _FastParams, caches: list, dY: np.ndarray) -> LstmParams:
         dy = dY[:, t, :]
         if dx_next is not None:
             dy = dy + dx_next   # feedback: this output fed the next step's input
-        dW_d += dy.T @ h
-        db_d += dy.sum(axis=0)
-        dh = dy @ fp.W_d + dh_next
+        grads.W_d += dy.T @ h
+        grads.b_d += dy.sum(axis=0)
+        dh = dy @ params.W_d + dh_next
 
         do = dh * tanh_c
         dc = dc_next + dh * o * (1.0 - tanh_c**2)
@@ -185,21 +165,13 @@ def _backward(fp: _FastParams, caches: list, dY: np.ndarray) -> LstmParams:
         dz[:, 3 * H:] = (dc * i) * (1.0 - g**2)
         dc_next = dc * f
 
-        dW4 += dz.T @ x
-        dU4 += dz.T @ h_prev
-        db4 += dz.sum(axis=0)
-        dx_next = dz @ fp.W4
-        dh_next = dz @ fp.U4
+        grads.W4 += dz.T @ x
+        grads.U4 += dz.T @ h_prev
+        grads.b4 += dz.sum(axis=0)
+        dx_next = dz @ params.W4
+        dh_next = dz @ params.U4
 
-    return LstmParams(
-        W_i=dW4[:H].copy(), W_f=dW4[H:2 * H].copy(),
-        W_o=dW4[2 * H:3 * H].copy(), W_g=dW4[3 * H:].copy(),
-        U_i=dU4[:H].copy(), U_f=dU4[H:2 * H].copy(),
-        U_o=dU4[2 * H:3 * H].copy(), U_g=dU4[3 * H:].copy(),
-        b_i=db4[:H].copy(), b_f=db4[H:2 * H].copy(),
-        b_o=db4[2 * H:3 * H].copy(), b_g=db4[3 * H:].copy(),
-        W_d=dW_d, b_d=db_d,
-    )
+    return grads
 
 
 # ---------------------------------------------------------------------------
@@ -220,14 +192,10 @@ def cell_forward(x, h, c, params: LstmParams):
     single = x.ndim == 1
     if single:
         x, h, c = x[None], h[None], c[None]
-    h_new, c_new, cache = _cell(_FastParams(params), x, h, c)
+    h_new, c_new, cache = _cell(params, x, h, c)
     if single:
         return h_new[0], c_new[0], cache
     return h_new, c_new, cache
-
-
-def readout(h, params: LstmParams):
-    return h @ params.W_d.T + params.b_d
 
 
 def one_to_many_forward(x0, seq_len: int, params: LstmParams):
@@ -243,7 +211,7 @@ def one_to_many_forward(x0, seq_len: int, params: LstmParams):
     if x.shape[-1] != params.dim:
         raise ValueError(f"input dimension {x.shape[-1]} does not match D={params.dim}")
     single = x.ndim == 1
-    ys, caches = _forward(_FastParams(params), x[None] if single else x, seq_len)
+    ys, caches = _forward(params, x[None] if single else x, seq_len)
     return (ys[0] if single else ys), caches
 
 
@@ -274,7 +242,7 @@ def backward(caches: list, loss_grads, params: LstmParams) -> LstmParams:
             f"loss_grads shape {loss_grads.shape if hasattr(loss_grads, 'shape') else '?'} "
             f"does not match {len(caches)} cached steps"
         )
-    return _backward(_FastParams(params), caches, dY)
+    return _backward(params, caches, dY)
 
 
 # ---------------------------------------------------------------------------
@@ -295,27 +263,24 @@ class AdamState:
 def adam_step(params: LstmParams, grads: LstmParams, state: AdamState,
               lr: float, beta1: float = 0.9, beta2: float = 0.999,
               eps: float = 1e-8) -> tuple[LstmParams, AdamState]:
-    """Standard bias-corrected Adam update; returns new params and the
-    advanced state (moments are updated in place, the input state is consumed)."""
+    """Standard bias-corrected Adam update on the flat vectors. `params` and
+    the moments are updated in place; returns `params` and the advanced state
+    (the input state is consumed)."""
     t = state.step + 1
     scale_m = lr / (1.0 - beta1**t)
     scale_v = 1.0 / np.sqrt(1.0 - beta2**t)
-    new = params.copy()
-    for name, _ in params.tensors():
-        g = getattr(grads, name)
-        m = getattr(state.m, name)
-        v = getattr(state.v, name)
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * (g * g)
-        denom = np.sqrt(v)
-        denom *= scale_v
-        denom += eps
-        update = m * scale_m
-        update /= denom
-        getattr(new, name)[...] -= update
-    return new, replace(state, step=t)
+    g, m, v = grads.flat, state.m.flat, state.v.flat
+    m *= beta1
+    m += (1.0 - beta1) * g
+    v *= beta2
+    v += (1.0 - beta2) * (g * g)
+    denom = np.sqrt(v)
+    denom *= scale_v
+    denom += eps
+    update = m * scale_m
+    update /= denom
+    params.flat -= update
+    return params, replace(state, step=t)
 
 
 # ---------------------------------------------------------------------------
@@ -366,11 +331,10 @@ def evaluate_loss(sequences: np.ndarray, params: LstmParams, seq_len: int,
     """Mean sequence loss over a (count, L, D) array, forward only."""
     if len(sequences) == 0:
         return float("nan")
-    fp = _FastParams(params)
     total = 0.0
     for start in range(0, len(sequences), chunk):
         block = sequences[start:start + chunk]
-        ys, _ = _forward(fp, block[:, 0, :], seq_len)
+        ys, _ = _forward(params, block[:, 0, :], seq_len)
         total += np.sum((ys - block[:, 1:, :])**2)
     return float(total / (sequences.shape[0] * (seq_len - 1) * sequences.shape[2]))
 
@@ -397,14 +361,13 @@ def train(dataset: SequenceDataset, cfg: TrainConfig,
         epoch_sq = 0.0
         for batch_no, start in enumerate(range(0, dataset.n_train, cfg.batch_size)):
             seqs = dataset.train[order[start:start + cfg.batch_size]]
-            fp = _FastParams(params)
-            ys, caches = _forward(fp, seqs[:, 0, :], cfg.seq_len)
+            ys, caches = _forward(params, seqs[:, 0, :], cfg.seq_len)
             targets = seqs[:, 1:, :]
             loss = sequence_loss(ys, targets)
             if not np.isfinite(loss):
                 raise TrainDivergedError(epoch, batch_no)
             dY = (2.0 / ys.size) * (ys - targets)
-            grads = _backward(fp, caches, dY)
+            grads = _backward(params, caches, dY)
             params, adam = adam_step(params, grads, adam, cfg.learning_rate,
                                      cfg.beta1, cfg.beta2, cfg.eps)
             epoch_sq += loss * seqs.shape[0]
@@ -447,8 +410,7 @@ def save_checkpoint(path: str, params: LstmParams, cfg: TrainConfig,
     }
     if extra_header:
         header.update(extra_header)
-    payload = np.concatenate([arr.ravel() for _, arr in params.tensors()])
-    arrayio.write_array_file(path, header, payload)
+    arrayio.write_array_file(path, header, params.flat)
 
 
 def load_checkpoint(path: str) -> tuple[LstmParams, dict]:
@@ -463,13 +425,6 @@ def load_checkpoint(path: str) -> tuple[LstmParams, dict]:
         int(header["seq_len"])
     except (KeyError, TypeError, ValueError) as exc:
         raise arrayio.HeaderError(f"{path}: incomplete header: {exc}") from None
-    shapes = _tensor_shapes(dim, hidden)
-    expected = sum(int(np.prod(s)) for s in shapes.values())
-    arrayio.expect_payload(header, payload, expected, path)
-    values = {}
-    offset = 0
-    for name in TENSOR_FIELDS:
-        size = int(np.prod(shapes[name]))
-        values[name] = payload[offset:offset + size].reshape(shapes[name]).copy()
-        offset += size
-    return LstmParams(**values), header
+    arrayio.expect_payload(header, payload, _flat_size(dim, hidden), path)
+    # the payload is the flat vector; copy it because frombuffer is read-only
+    return LstmParams(payload.copy(), dim, hidden), header

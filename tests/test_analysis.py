@@ -6,6 +6,7 @@ import pytest
 from mmsqc.analysis import (
     RolloutConfig,
     RolloutError,
+    _rollout_chunk,
     compare_populations,
     coordinate_histogram,
     dof_mae,
@@ -25,6 +26,8 @@ from mmsqc.sqc import (
     populations,
     run_ensemble,
     sample_initial,
+    _map_chunks,
+    _sample_starts,
 )
 from mmsqc.streams import substream
 from mmsqc.surrogate import LstmParams, init_params, one_to_many_forward
@@ -120,6 +123,18 @@ def test_rollout_dimension_mismatch_fails_before_sampling():
     params = init_params(10, 4, np.random.default_rng(10))
     with pytest.raises(ValueError, match="dimension"):
         rollout_ensemble(model, params, RolloutConfig(3, 5, 3, seed=0))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_fan_out_error_names_absolute_trajectory(workers):
+    model = small_model()
+    params = init_params(model.dim, 6, np.random.default_rng(4))
+    starts = _sample_starts(model, 6, 0, 2, WindowConfig())
+    starts[4, 0] = np.nan
+    with pytest.raises(RolloutError) as err:
+        _map_chunks(_rollout_chunk, starts, workers, params, 6, 3)
+    assert err.value.trajectory == 4
+    assert err.value.step == 1
 
 
 def test_rollout_nonfinite_reports_step():

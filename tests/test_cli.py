@@ -77,6 +77,20 @@ def test_usage_errors_exit_2(tmp_path):
         run("no-such-command")
 
 
+def test_workers_from_environment(tmp_path, monkeypatch):
+    common = ["simulate", "--model", "I", "--ntraj", 4, "--t-end", 2,
+              "--dt", 0.05, "--seed", 3]
+    for bad in ("abc", "0", "-3"):
+        monkeypatch.setenv("MMSQC_WORKERS", bad)
+        assert run(*common, "--out", tmp_path / "x.traj") == 2
+    assert not (tmp_path / "x.traj").exists()
+    monkeypatch.setenv("MMSQC_WORKERS", "2")
+    assert run(*common, "--out", tmp_path / "env.traj") == 0
+    monkeypatch.delenv("MMSQC_WORKERS")
+    assert run(*common, "--out", tmp_path / "one.traj") == 0
+    assert (tmp_path / "env.traj").read_bytes() == (tmp_path / "one.traj").read_bytes()
+
+
 def test_unknown_model_is_runtime_error(tmp_path, capsys):
     assert run("simulate", "--model", "XL", "--ntraj", 1, "--t-end", 1,
                "--out", tmp_path / "x.traj") == 1

@@ -5,11 +5,8 @@ from mmsqc import arrayio
 from mmsqc.dataset import (
     SequenceDataset,
     build_dataset,
-    destandardize,
     partition,
     split_sequences,
-    standardize,
-    unvectorize,
     vectorize,
 )
 from mmsqc.models import build_model
@@ -41,16 +38,6 @@ def test_vectorize_dimensions_and_ordering():
 
     zero = PhaseSpaceState(np.zeros(2), np.zeros(2), np.zeros(16), np.zeros(16))
     assert np.array_equal(vectorize(zero), np.zeros(36))
-
-
-def test_unvectorize_round_trip():
-    vec = np.arange(10.0)
-    state = unvectorize(vec, 2, t=3.0)
-    assert np.array_equal(state.x_e, [0, 1])
-    assert np.array_equal(state.p_e, [2, 3])
-    assert np.array_equal(state.Q, [4, 5, 6])
-    assert np.array_equal(state.P, [7, 8, 9])
-    assert np.array_equal(vectorize(state), vec)
 
 
 def test_split_sequence_counts():
@@ -146,18 +133,6 @@ def test_dataset_file_round_trip(tmp_path):
     assert loaded.split_seed == 2
     ds.save(str(tmp_path / "d2.seq"))
     assert (tmp_path / "d.seq").read_bytes() == (tmp_path / "d2.seq").read_bytes()
-
-
-def test_standardize_hook_round_trip():
-    rng = np.random.default_rng(13)
-    ds = SequenceDataset(4, 3, 5.0 + 2.0 * rng.normal(size=(20, 4, 3)),
-                         5.0 + 2.0 * rng.normal(size=(6, 4, 3)))
-    scaled, mean, std = standardize(ds)
-    flat = scaled.train.reshape(-1, 3)
-    assert np.allclose(flat.mean(axis=0), 0.0, atol=1e-12)
-    assert np.allclose(flat.std(axis=0), 1.0, atol=1e-12)
-    assert np.allclose(destandardize(scaled.train, mean, std), ds.train)
-    assert np.allclose(destandardize(scaled.validation, mean, std), ds.validation)
 
 
 def test_empty_dataset_round_trip(tmp_path):

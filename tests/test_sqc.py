@@ -22,6 +22,9 @@ from mmsqc.sqc import (
     unpack_state,
     window_assign,
     ensemble_energies,
+    _map_chunks,
+    _propagate_chunk,
+    _sample_starts,
 )
 from mmsqc.streams import substream
 
@@ -292,6 +295,17 @@ def test_run_ensemble_worker_invariance():
         assert np.array_equal(base.data, other.data)
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_fan_out_error_names_absolute_trajectory(workers):
+    model = build_model("I")
+    Y0 = _sample_starts(model, 6, 0, 5, WindowConfig())
+    Y0[4, 0] = 1e200   # overflows within the first recording interval
+    with pytest.raises(IntegrationError) as err:
+        _map_chunks(_propagate_chunk, Y0, workers,
+                    model, IntegratorConfig(0.05), 2.0, 1.0, GAMMA)
+    assert err.value.trajectory == 4
+
+
 def test_run_ensemble_rejects_zero_trajectories():
     with pytest.raises(ValueError):
         run_ensemble(build_model("I"), 0, 0, 1, IntegratorConfig(), 1.0, 1.0)
@@ -354,7 +368,7 @@ def test_trajectory_state_accessors():
     model = build_model("I")
     ens = run_ensemble(model, 2, 0, 3, IntegratorConfig(0.05), 3.0, 1.0)
     traj = ens.trajectory(1)
-    assert len(traj.states) == 4
+    assert traj.n_records == 4
     assert traj.state(2).t == pytest.approx(2.0)
 
 

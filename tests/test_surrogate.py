@@ -1,7 +1,9 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mmsqc import arrayio
 from mmsqc.dataset import SequenceDataset
@@ -213,8 +215,9 @@ def test_backward_requires_matching_caches():
 
 def test_adam_zero_gradients_fresh_state():
     params = random_params(3, 4, 51)
+    before = params.copy()
     new, state = adam_step(params, LstmParams.zeros(3, 4), AdamState.zeros(3, 4), lr=1e-3)
-    assert params_equal(new, params)
+    assert params_equal(new, before)
     assert state.step == 1
 
 
@@ -236,6 +239,65 @@ def test_adam_determinism():
     a, _ = adam_step(params.copy(), grads, AdamState.zeros(3, 4), lr=1e-4)
     b, _ = adam_step(params.copy(), grads, AdamState.zeros(3, 4), lr=1e-4)
     assert params_equal(a, b)
+
+
+# ---------------------------------------------------------------------------
+# flat parameter vector
+
+
+def reference_adam(params, grads, m, v, step, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Per-tensor Adam on dicts of arrays, the formula applied tensor by tensor."""
+    t = step + 1
+    scale_m = lr / (1.0 - beta1**t)
+    scale_v = 1.0 / np.sqrt(1.0 - beta2**t)
+    for name, g in grads.items():
+        m[name] = m[name] * beta1 + (1.0 - beta1) * g
+        v[name] = v[name] * beta2 + (1.0 - beta2) * (g * g)
+        update = (m[name] * scale_m) / (np.sqrt(v[name]) * scale_v + eps)
+        params[name] = params[name] - update
+
+
+@settings(max_examples=30, deadline=None)
+@given(dim=st.integers(1, 5), hidden=st.integers(1, 6),
+       seed=st.integers(0, 2**32 - 1), lr=st.floats(1e-6, 1e-1))
+def test_flat_vector_views_checkpoint_and_adam(tmp_path_factory, dim, hidden, seed, lr):
+    rng = np.random.default_rng(seed)
+    params = LstmParams.zeros(dim, hidden)
+    params.flat[:] = rng.normal(size=params.flat.size)
+    H = hidden
+
+    # every name is a view into `flat`, which is laid out in checkpoint order
+    for name, arr in params.tensors():
+        assert np.shares_memory(arr, params.flat), name
+    assert np.array_equal(np.concatenate([a.ravel() for _, a in params.tensors()]),
+                          params.flat)
+    values = rng.normal(size=(H, dim))
+    params.W_f[...] = values
+    assert np.array_equal(params.W4[H:2 * H], values)
+    # pickling, as for worker processes, keeps one vector behind the names
+    clone = pickle.loads(pickle.dumps(params))
+    assert np.array_equal(clone.flat, params.flat)
+    assert all(np.shares_memory(a, clone.flat) for _, a in clone.tensors())
+
+    path = tmp_path_factory.mktemp("ckpt") / "p.ckpt"
+    save_checkpoint(str(path), params, TrainConfig(seq_len=3, hidden=hidden, epochs=1))
+    raw = path.read_bytes()
+    assert raw[raw.index(b"\n") + 1:] == params.flat.tobytes()
+    loaded, _ = load_checkpoint(str(path))
+    assert loaded.flat.tobytes() == params.flat.tobytes()
+
+    ref = {name: arr.copy() for name, arr in params.tensors()}
+    m = {name: np.zeros_like(arr) for name, arr in ref.items()}
+    v = {name: np.zeros_like(arr) for name, arr in ref.items()}
+    state = AdamState.zeros(dim, hidden)
+    grads = LstmParams.zeros(dim, hidden)
+    for step in range(3):
+        grads.flat[:] = rng.normal(size=grads.flat.size)
+        reference_adam(ref, {n: a.copy() for n, a in grads.tensors()}, m, v, step, lr)
+        params, state = adam_step(params, grads, state, lr)
+    assert state.step == 3
+    for name, arr in params.tensors():
+        assert arr.tobytes() == ref[name].tobytes(), name
 
 
 # ---------------------------------------------------------------------------
