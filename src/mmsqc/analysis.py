@@ -134,8 +134,10 @@ def _check_same_grid(a: TrajectoryEnsemble, b: TrajectoryEnsemble) -> None:
             f"time grids differ: {a.n_records} x {a.record_dt} fs vs "
             f"{b.n_records} x {b.record_dt} fs"
         )
-    if a.n_states != b.n_states or a.dim != b.dim:
-        raise ValueError("ensembles come from different models")
+    labels = {a.model_label, b.model_label} - {"custom"}   # "custom": model not recorded
+    if len(labels) > 1 or a.n_states != b.n_states or a.dim != b.dim:
+        raise ValueError(f"ensembles come from different models: "
+                         f"{a.model_label} vs {b.model_label}")
 
 
 def compare_populations(pred: TrajectoryEnsemble, ref: TrajectoryEnsemble,
@@ -229,36 +231,33 @@ def coordinate_histogram(ensemble: TrajectoryEnsemble, variable: int,
 
 
 def _fmt(x) -> str:
-    return repr(float(x))
+    return x if isinstance(x, str) else str(x) if isinstance(x, int) else repr(float(x))
+
+
+def write_csv(path: str, columns: list[str], rows) -> None:
+    """Atomically write a CSV: text and int cells as is, every other cell as
+    repr(float), so values round-trip exactly."""
+    lines = [",".join(columns)] + [",".join(map(_fmt, row)) for row in rows]
+    write_atomic(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
 def write_populations_csv(path: str, series: PopulationSeries) -> None:
     cols = ["time"] + [f"P{k + 1}" for k in range(series.n_states)] + ["unassigned"]
-    lines = [",".join(cols)]
-    for i, t in enumerate(series.times):
-        row = [_fmt(t)] + [_fmt(v) for v in series.values[i]] + [_fmt(series.unassigned[i])]
-        lines.append(",".join(row))
-    write_atomic(path, ("\n".join(lines) + "\n").encode("utf-8"))
+    write_csv(path, cols, ([t, *series.values[i], series.unassigned[i]]
+                           for i, t in enumerate(series.times)))
 
 
 def write_compare_csv(path: str, dev: PopulationDeviation) -> None:
-    lines = ["state,mean_abs_dev,max_abs_dev"]
-    for k in range(len(dev.mean_abs)):
-        lines.append(f"P{k + 1},{_fmt(dev.mean_abs[k])},{_fmt(dev.max_abs[k])}")
-    write_atomic(path, ("\n".join(lines) + "\n").encode("utf-8"))
+    write_csv(path, ["state", "mean_abs_dev", "max_abs_dev"],
+              ([f"P{k + 1}", dev.mean_abs[k], dev.max_abs[k]] for k in range(len(dev.mean_abs))))
 
 
 def write_mae_csv(path: str, table: DofErrorTable) -> None:
-    header = ["dof_label"] + [f"t{t:g}" for t in table.slice_times]
-    lines = [",".join(header)]
-    for j, label in enumerate(table.labels):
-        lines.append(",".join([label] + [_fmt(v) for v in table.mae[:, j]]))
-    write_atomic(path, ("\n".join(lines) + "\n").encode("utf-8"))
+    write_csv(path, ["dof_label"] + [f"t{t:g}" for t in table.slice_times],
+              ([label, *table.mae[:, j]] for j, label in enumerate(table.labels)))
 
 
 def write_histogram_csv(path: str, hist: CoordinateHistogram) -> None:
-    lines = ["time,bin_center,density"]
-    for i, t in enumerate(hist.times):
-        for c, d in zip(hist.bin_centers, hist.density[i]):
-            lines.append(f"{_fmt(t)},{_fmt(c)},{_fmt(d)}")
-    write_atomic(path, ("\n".join(lines) + "\n").encode("utf-8"))
+    write_csv(path, ["time", "bin_center", "density"],
+              ([t, c, d] for i, t in enumerate(hist.times)
+               for c, d in zip(hist.bin_centers, hist.density[i])))

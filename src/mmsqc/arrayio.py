@@ -1,16 +1,31 @@
 """Binary array container: one-line JSON header + little-endian float64 payload.
 
-Shared by trajectory ensembles, sequence datasets and network checkpoints.
+The one module that knows the format of trajectory ensembles, sequence
+datasets and network checkpoints. Callers name a kind, their own header
+fields and their payload arrays; this module stamps and checks `kind` and
+`version`, converts the typed fields, checks the payload length the header
+promises and streams payloads to and from disk without intermediate copies.
 Round trips are bit-exact; all writes are atomic (temp file + rename).
 """
 
+import contextlib
+import hashlib
 import json
+import math
 import os
 import tempfile
 
 import numpy as np
 
 PAYLOAD_DTYPE = np.dtype("<f8")
+FORMAT_VERSION = 1
+
+# the kinds stamped into headers, and what a loader calls each in its errors
+ENSEMBLE = "mmsqc.ensemble"
+DATASET = "mmsqc.dataset"
+CHECKPOINT = "mmsqc.checkpoint"
+_KIND_NAMES = {ENSEMBLE: "trajectory ensemble", DATASET: "sequence dataset",
+               CHECKPOINT: "checkpoint"}
 
 
 class ArrayFileError(Exception):
@@ -29,13 +44,14 @@ class VersionError(ArrayFileError):
     """File was written by an incompatible format version."""
 
 
-def write_atomic(path: str, data: bytes) -> None:
-    """Write bytes so that a partial file is never visible under `path`."""
+@contextlib.contextmanager
+def _atomic_file(path: str):
+    """Binary file handle whose contents appear under `path` only on success."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+            yield fh
         umask = os.umask(0)
         os.umask(umask)
         os.chmod(tmp, 0o666 & ~umask)   # mkstemp creates 0600
@@ -46,39 +62,74 @@ def write_atomic(path: str, data: bytes) -> None:
         raise
 
 
-def encode(header: dict, payload: np.ndarray) -> bytes:
-    """Serialize header + payload. Header keys are sorted for byte determinism."""
-    head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    body = np.ascontiguousarray(payload, dtype=PAYLOAD_DTYPE).tobytes()
-    return head + b"\n" + body
+def write_atomic(path: str, data: bytes) -> None:
+    """Write bytes so that a partial file is never visible under `path`."""
+    with _atomic_file(path) as fh:
+        fh.write(data)
 
 
-def write_array_file(path: str, header: dict, payload: np.ndarray) -> None:
-    write_atomic(path, encode(header, payload))
+def _chunks(kind: str, header: dict, payloads):
+    """The file's bytes as buffers: the header line, then each payload.
+    Header keys are sorted for byte determinism."""
+    stamped = {**header, "kind": kind, "version": FORMAT_VERSION}
+    yield json.dumps(stamped, sort_keys=True, separators=(",", ":")).encode("utf-8") + b"\n"
+    for payload in payloads:
+        yield np.ascontiguousarray(payload, dtype=PAYLOAD_DTYPE).reshape(-1)
 
 
-def read_array_file(path: str) -> tuple[dict, np.ndarray]:
-    """Read (header, flat float64 payload). Raises HeaderError on a bad header."""
+def write_array_file(path: str, kind: str, header: dict, *payloads) -> None:
+    """Write `header` stamped with `kind` and the format version, then the
+    payload arrays back to back."""
+    with _atomic_file(path) as fh:
+        for chunk in _chunks(kind, header, payloads):
+            fh.write(chunk)
+
+
+def file_sha256(kind: str, header: dict, *payloads) -> str:
+    """SHA-256 of the file `write_array_file` would write, without building it."""
+    digest = hashlib.sha256()
+    for chunk in _chunks(kind, header, payloads):
+        digest.update(chunk)
+    return digest.hexdigest()
+
+
+def read_array_file(path: str, kind: str, shapes, **fields) -> tuple[dict, list]:
+    """Read a `kind` file: (header, one fresh writable float64 array per shape).
+
+    `fields` maps header keys to casts (`n_traj=int`); the returned header
+    holds the cast values. `shapes(header)` gives the payload shapes the
+    header promises, in file order.
+    """
     with open(path, "rb") as fh:
-        raw = fh.read()
-    newline = raw.find(b"\n")
-    if newline < 0:
-        raise HeaderError(f"{path}: no header line found")
-    try:
-        header = json.loads(raw[:newline].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise HeaderError(f"{path}: corrupt header: {exc}") from None
-    if not isinstance(header, dict):
-        raise HeaderError(f"{path}: header is not an object")
-    body = raw[newline + 1:]
-    if len(body) % PAYLOAD_DTYPE.itemsize != 0:
-        raise PayloadSizeError(f"{path}: payload is not a whole number of float64s")
-    return header, np.frombuffer(body, dtype=PAYLOAD_DTYPE)
-
-
-def expect_payload(header: dict, payload: np.ndarray, n_expected: int, path: str) -> None:
-    """Check the payload element count promised by the header."""
-    if payload.size != n_expected:
-        raise PayloadSizeError(
-            f"{path}: expected {n_expected} float64 values, found {payload.size}"
-        )
+        line = fh.readline()
+        if not line.endswith(b"\n"):
+            raise HeaderError(f"{path}: no header line found")
+        try:
+            header = json.loads(line.decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise HeaderError(f"{path}: corrupt header: {exc}") from None
+        if not isinstance(header, dict):
+            raise HeaderError(f"{path}: header is not an object")
+        if header.get("kind") != kind:
+            raise HeaderError(f"{path}: not a {_KIND_NAMES[kind]} file")
+        version = header.get("version")
+        if type(version) is not int or version != FORMAT_VERSION:   # true == 1.0 == 1
+            raise VersionError(f"{path}: unsupported version {version!r}")
+        try:
+            for key, cast in fields.items():
+                header[key] = cast(header[key])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise HeaderError(f"{path}: incomplete header: {exc}") from None
+        promised = [tuple(shape) for shape in shapes(header)]
+        if any(n < 0 for shape in promised for n in shape):
+            raise HeaderError(f"{path}: negative array size in header {promised}")
+        expected = sum(math.prod(shape) for shape in promised) * PAYLOAD_DTYPE.itemsize
+        found = os.fstat(fh.fileno()).st_size - fh.tell()
+        if found != expected:
+            raise PayloadSizeError(f"{path}: expected {expected} payload bytes, found {found}")
+        arrays = [np.empty(shape, dtype=PAYLOAD_DTYPE) for shape in promised]
+        for arr in arrays:
+            view = arr.reshape(-1).view(np.uint8)
+            if fh.readinto(view) != view.size:
+                raise PayloadSizeError(f"{path}: payload ended early")
+    return header, arrays

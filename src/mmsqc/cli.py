@@ -8,6 +8,7 @@ are written atomically. Exit codes: 0 success, 2 usage, 1 runtime error.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -16,39 +17,41 @@ import time
 import numpy as np
 
 from mmsqc import analysis, dataset as ds, models, sqc, surrogate
-from mmsqc.arrayio import write_atomic
 
 
 class UsageError(Exception):
     pass
 
 
-def _resolve(args: argparse.Namespace, config: dict, command: str,
-             key: str, default, cast=None):
-    """flags > config[command][key] > config[key] > default."""
-    value = getattr(args, key.replace("-", "_"), None)
+def _resolve(args: argparse.Namespace, config: dict, command: str, key: str,
+             default, cast, positive: bool = False, env: str | None = None):
+    """flags > config[command][key] > config[key] > environment variable `env`
+    > default. A config value is cast from its JSON text, as if given as the
+    flag, so `2.7` or `true` is no integer. Errors name the value's source."""
+    value, source = getattr(args, key.replace("-", "_"), None), f"--{key}"
+    section = config.get(command, {})
+    if value is None and isinstance(section, dict):
+        for name, scope in ((f"{command}.{key}", section), (key, config)):
+            if scope.get(key) is not None:
+                value, source = scope[key], f"config key {name}"
+                value = value if isinstance(value, str) else json.dumps(value)
+                break
+    if value is None and env is not None and env in os.environ:
+        value, source = os.environ[env], env
     if value is None:
-        section = config.get(command, {})
-        value = section.get(key, config.get(key, None)) if isinstance(section, dict) else None
-    if value is None:
-        value = default
-    if value is not None and cast is not None:
-        try:
-            value = cast(value)
-        except (TypeError, ValueError):
-            raise UsageError(f"invalid value for --{key}: {value!r}") from None
+        return default
+    try:
+        value = cast(value)
+    except ValueError:
+        raise UsageError(f"invalid value for {source}: {value!r}") from None
+    if positive and value <= 0:
+        raise UsageError(f"{source} must be positive, got {value}")
     return value
 
 
 def _require(value, name: str):
     if value is None:
         raise UsageError(f"missing required option --{name}")
-    return value
-
-
-def _positive(value, name: str):
-    if value is not None and value <= 0:
-        raise UsageError(f"--{name} must be positive, got {value}")
     return value
 
 
@@ -82,14 +85,14 @@ def cmd_model(args, config) -> int:
 
 
 def cmd_simulate(args, config) -> int:
-    get = lambda key, default, cast: _resolve(args, config, "simulate", key, default, cast)
+    get = functools.partial(_resolve, args, config, "simulate")
     model = models.resolve_model(_require(get("model", None, str), "model"))
-    n_traj = _positive(_require(get("ntraj", None, int), "ntraj"), "ntraj")
-    t_end = _positive(_require(get("t-end", None, float), "t-end"), "t-end")
-    record_dt = _positive(get("record-dt", 1.0, float), "record-dt")
-    dt = _positive(get("dt", 0.01, float), "dt")
+    n_traj = _require(get("ntraj", None, int, positive=True), "ntraj")
+    t_end = _require(get("t-end", None, float, positive=True), "t-end")
+    record_dt = get("record-dt", 1.0, float, positive=True)
+    dt = get("dt", 0.01, float, positive=True)
     seed = get("seed", 0, int)
-    workers = _positive(get("workers", os.environ.get("MMSQC_WORKERS", 1), int), "workers")
+    workers = get("workers", 1, int, positive=True, env="MMSQC_WORKERS")
     init_state = _init_state_index(get("init-state", 1, int), model)
     out = _require(get("out", None, str), "out")
 
@@ -110,9 +113,9 @@ def cmd_simulate(args, config) -> int:
 
 
 def cmd_dataset(args, config) -> int:
-    get = lambda key, default, cast: _resolve(args, config, "dataset", key, default, cast)
+    get = functools.partial(_resolve, args, config, "dataset")
     source = _require(get("ensemble", None, str), "ensemble")
-    seq_len = _positive(_require(get("seq-len", None, int), "seq-len"), "seq-len")
+    seq_len = _require(get("seq-len", None, int, positive=True), "seq-len")
     seed = get("seed", 0, int)
     out = _require(get("out", None, str), "out")
 
@@ -127,12 +130,12 @@ def cmd_dataset(args, config) -> int:
 
 
 def cmd_train(args, config) -> int:
-    get = lambda key, default, cast: _resolve(args, config, "train", key, default, cast)
+    get = functools.partial(_resolve, args, config, "train")
     source = _require(get("dataset", None, str), "dataset")
-    hidden = _positive(get("hidden", 2000, int), "hidden")
+    hidden = get("hidden", 2000, int, positive=True)
     lr = get("lr", 1e-5, float)
-    batch = _positive(get("batch", 50, int), "batch")
-    epochs = _positive(get("epochs", 2000, int), "epochs")
+    batch = get("batch", 50, int, positive=True)
+    epochs = get("epochs", 2000, int, positive=True)
     seed = get("seed", 0, int)
     out = _require(get("out", None, str), "out")
     loss_csv = get("loss-csv", None, str)
@@ -153,24 +156,22 @@ def cmd_train(args, config) -> int:
                               extra_header={"run_config": run_config,
                                             "source_hash": data.source_hash})
     if loss_csv:
-        lines = ["epoch,train_loss,val_loss"]
-        for e in range(epochs):
-            lines.append(f"{e},{float(report.train_loss[e])!r},{float(report.val_loss[e])!r}")
-        write_atomic(loss_csv, ("\n".join(lines) + "\n").encode("utf-8"))
+        analysis.write_csv(loss_csv, ["epoch", "train_loss", "val_loss"],
+                           zip(range(epochs), report.train_loss, report.val_loss))
     print(f"best epoch {report.best_epoch} (val loss {report.val_loss[report.best_epoch]:.3e}), "
           f"wall time {report.wall_time_s:.0f} s -> {out}")
     return 0
 
 
 def cmd_rollout(args, config) -> int:
-    get = lambda key, default, cast: _resolve(args, config, "rollout", key, default, cast)
+    get = functools.partial(_resolve, args, config, "rollout")
     model = models.resolve_model(_require(get("model", None, str), "model"))
     ckpt_path = _require(get("checkpoint", None, str), "checkpoint")
-    n_traj = _positive(_require(get("ntraj", None, int), "ntraj"), "ntraj")
-    steps = _positive(_require(get("steps", None, int), "steps"), "steps")
-    record_dt = _positive(get("record-dt", 1.0, float), "record-dt")
+    n_traj = _require(get("ntraj", None, int, positive=True), "ntraj")
+    steps = _require(get("steps", None, int, positive=True), "steps")
+    record_dt = get("record-dt", 1.0, float, positive=True)
     seed = get("seed", 0, int)
-    workers = _positive(get("workers", os.environ.get("MMSQC_WORKERS", 1), int), "workers")
+    workers = get("workers", 1, int, positive=True, env="MMSQC_WORKERS")
     init_state = _init_state_index(get("init-state", 1, int), model)
     out = _require(get("out", None, str), "out")
 
@@ -194,7 +195,7 @@ def cmd_rollout(args, config) -> int:
 
 def cmd_analyze(args, config) -> int:
     what = args.what
-    get = lambda key, default, cast: _resolve(args, config, "analyze", key, default, cast)
+    get = functools.partial(_resolve, args, config, "analyze")
     out = _require(get("out", None, str), "out")
 
     if what == "populations":
@@ -219,7 +220,7 @@ def cmd_analyze(args, config) -> int:
     elif what == "hist":
         ensemble = sqc.TrajectoryEnsemble.load(_require(get("ensemble", None, str), "ensemble"))
         var = _require(get("var", None, int), "var")
-        bins = _positive(get("bins", 50, int), "bins")
+        bins = get("bins", 50, int, positive=True)
         lo = get("min", -3.0, float)
         hi = get("max", 3.0, float)
         hist = analysis.coordinate_histogram(ensemble, var, bins, (lo, hi))

@@ -20,9 +20,6 @@ from mmsqc.sqc import (
 )
 from mmsqc.streams import substream
 
-_DATASET_KIND = "mmsqc.dataset"
-_DATASET_VERSION = 1
-
 
 def vectorize(state: PhaseSpaceState) -> np.ndarray:
     """Flatten a phase-space state into the canonical x_e|p_e|Q|P vector."""
@@ -92,8 +89,6 @@ class SequenceDataset:
 
     def save(self, path: str, extra_header: dict | None = None) -> None:
         header = {
-            "kind": _DATASET_KIND,
-            "version": _DATASET_VERSION,
             "seq_len": self.seq_len,
             "dim": self.dim,
             "n_train": self.n_train,
@@ -101,31 +96,17 @@ class SequenceDataset:
             "ordering": STATE_ORDERING,
             "source_hash": self.source_hash,
             "split_seed": self.split_seed,
+            **(extra_header or {}),
         }
-        if extra_header:
-            header.update(extra_header)
-        payload = np.concatenate([self.train.ravel(), self.validation.ravel()])
-        arrayio.write_array_file(path, header, payload)
+        arrayio.write_array_file(path, arrayio.DATASET, header, self.train, self.validation)
 
     @classmethod
     def load(cls, path: str) -> "SequenceDataset":
-        header, payload = arrayio.read_array_file(path)
-        if header.get("kind") != _DATASET_KIND:
-            raise arrayio.HeaderError(f"{path}: not a sequence dataset file")
-        if header.get("version") != _DATASET_VERSION:
-            raise arrayio.VersionError(f"{path}: unsupported version {header.get('version')}")
-        try:
-            seq_len = int(header["seq_len"])
-            dim = int(header["dim"])
-            n_train = int(header["n_train"])
-            n_val = int(header["n_validation"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise arrayio.HeaderError(f"{path}: incomplete header: {exc}") from None
-        arrayio.expect_payload(header, payload, (n_train + n_val) * seq_len * dim, path)
-        cut = n_train * seq_len * dim
-        train = payload[:cut].reshape(n_train, seq_len, dim)
-        validation = payload[cut:].reshape(n_val, seq_len, dim)
-        return cls(seq_len, dim, train, validation,
+        header, (train, validation) = arrayio.read_array_file(
+            path, arrayio.DATASET,
+            lambda h: [(h[n], h["seq_len"], h["dim"]) for n in ("n_train", "n_validation")],
+            seq_len=int, dim=int, n_train=int, n_validation=int)
+        return cls(header["seq_len"], header["dim"], train, validation,
                    source_hash=header.get("source_hash", ""),
                    split_seed=header.get("split_seed"))
 

@@ -19,7 +19,6 @@ propagating it whole; worker count never changes results.
 """
 
 import concurrent.futures
-import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,9 +28,6 @@ from mmsqc.models import HBAR_EV_FS, SiteExcitonModel, bath_energy, diabatic_ele
 from mmsqc.streams import substream
 
 STATE_ORDERING = "x_e|p_e|Q|P"
-
-_ENSEMBLE_KIND = "mmsqc.ensemble"
-_ENSEMBLE_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -403,8 +399,6 @@ class TrajectoryEnsemble:
 
     def header(self) -> dict:
         return {
-            "kind": _ENSEMBLE_KIND,
-            "version": _ENSEMBLE_VERSION,
             "model": self.model_label,
             "n_traj": self.n_traj,
             "n_steps": self.n_records,
@@ -416,36 +410,22 @@ class TrajectoryEnsemble:
         }
 
     def save(self, path: str, extra_header: dict | None = None) -> None:
-        header = self.header()
-        if extra_header:
-            header.update(extra_header)
-        arrayio.write_array_file(path, header, self.data)
+        arrayio.write_array_file(path, arrayio.ENSEMBLE,
+                                 {**self.header(), **(extra_header or {})}, self.data)
 
     @classmethod
     def load(cls, path: str) -> "TrajectoryEnsemble":
-        header, payload = arrayio.read_array_file(path)
-        if header.get("kind") != _ENSEMBLE_KIND:
-            raise arrayio.HeaderError(f"{path}: not a trajectory ensemble file")
-        if header.get("version") != _ENSEMBLE_VERSION:
-            raise arrayio.VersionError(f"{path}: unsupported version {header.get('version')}")
+        header, (data,) = arrayio.read_array_file(
+            path, arrayio.ENSEMBLE, lambda h: [(h["n_traj"], h["n_steps"], h["dim"])],
+            n_traj=int, n_steps=int, dim=int, n_states=int, record_dt=float)
         if header.get("ordering") != STATE_ORDERING:
             raise arrayio.HeaderError(f"{path}: unknown variable ordering {header.get('ordering')}")
-        try:
-            n_traj = int(header["n_traj"])
-            n_steps = int(header["n_steps"])
-            dim = int(header["dim"])
-            n_states = int(header["n_states"])
-            record_dt = float(header["record_dt"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise arrayio.HeaderError(f"{path}: incomplete header: {exc}") from None
-        arrayio.expect_payload(header, payload, n_traj * n_steps * dim, path)
-        data = payload.reshape(n_traj, n_steps, dim).astype(float)
-        return cls(record_dt, data, n_states, header.get("model", "custom"), header.get("seed"))
+        return cls(header["record_dt"], data, header["n_states"],
+                   header.get("model", "custom"), header.get("seed"))
 
     def content_hash(self) -> str:
-        digest = hashlib.sha256()
-        digest.update(arrayio.encode(self.header(), self.data))
-        return digest.hexdigest()
+        """SHA-256 of the file `save` writes without an extra header."""
+        return arrayio.file_sha256(arrayio.ENSEMBLE, self.header(), self.data)
 
 
 # ---------------------------------------------------------------------------

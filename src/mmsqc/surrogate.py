@@ -23,9 +23,6 @@ from mmsqc import arrayio
 from mmsqc.dataset import SequenceDataset
 from mmsqc.streams import substream
 
-_CHECKPOINT_KIND = "mmsqc.checkpoint"
-_CHECKPOINT_VERSION = 1
-
 # payload tensor order of the checkpoint format
 TENSOR_FIELDS = ("W_i", "W_f", "W_o", "W_g", "U_i", "U_f", "U_o", "U_g",
                  "b_i", "b_f", "b_o", "b_g", "W_d", "b_d")
@@ -394,8 +391,6 @@ def save_checkpoint(path: str, params: LstmParams, cfg: TrainConfig,
                     report: TrainReport | None = None,
                     extra_header: dict | None = None) -> None:
     header = {
-        "kind": _CHECKPOINT_KIND,
-        "version": _CHECKPOINT_VERSION,
         "dim": params.dim,
         "hidden": params.hidden,
         "seq_len": cfg.seq_len,
@@ -407,24 +402,13 @@ def save_checkpoint(path: str, params: LstmParams, cfg: TrainConfig,
         "best_epoch": report.best_epoch if report else None,
         "train_loss": list(map(float, report.train_loss)) if report else None,
         "val_loss": list(map(float, report.val_loss)) if report else None,
+        **(extra_header or {}),
     }
-    if extra_header:
-        header.update(extra_header)
-    arrayio.write_array_file(path, header, params.flat)
+    arrayio.write_array_file(path, arrayio.CHECKPOINT, header, params.flat)
 
 
 def load_checkpoint(path: str) -> tuple[LstmParams, dict]:
-    header, payload = arrayio.read_array_file(path)
-    if header.get("kind") != _CHECKPOINT_KIND:
-        raise arrayio.HeaderError(f"{path}: not a checkpoint file")
-    if header.get("version") != _CHECKPOINT_VERSION:
-        raise arrayio.VersionError(f"{path}: unsupported version {header.get('version')}")
-    try:
-        dim = int(header["dim"])
-        hidden = int(header["hidden"])
-        int(header["seq_len"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise arrayio.HeaderError(f"{path}: incomplete header: {exc}") from None
-    arrayio.expect_payload(header, payload, _flat_size(dim, hidden), path)
-    # the payload is the flat vector; copy it because frombuffer is read-only
-    return LstmParams(payload.copy(), dim, hidden), header
+    header, (flat,) = arrayio.read_array_file(
+        path, arrayio.CHECKPOINT, lambda h: [(_flat_size(h["dim"], h["hidden"]),)],
+        dim=int, hidden=int, seq_len=int)
+    return LstmParams(flat, header["dim"], header["hidden"]), header

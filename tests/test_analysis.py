@@ -13,6 +13,7 @@ from mmsqc.analysis import (
     rollout_ensemble,
     rollout_trajectory,
     write_compare_csv,
+    write_csv,
     write_histogram_csv,
     write_mae_csv,
     write_populations_csv,
@@ -184,6 +185,20 @@ def test_compare_populations_all_undefined():
         compare_populations(blank, blank)
 
 
+def test_comparisons_refuse_other_models():
+    icfg = IntegratorConfig(0.05)
+    one = run_ensemble(build_model("I"), 3, 0, 1, icfg, 2.0, 1.0)
+    two = run_ensemble(build_model("II"), 3, 0, 1, icfg, 2.0, 1.0)
+    assert one.dim == two.dim and one.n_states == two.n_states
+    with pytest.raises(ValueError, match="different models: I vs II"):
+        compare_populations(one, two)
+    with pytest.raises(ValueError, match="different models: II vs I"):
+        dof_mae(two, one, [1])
+    # an ensemble without a recorded model compares with any labelled one
+    unlabelled = TrajectoryEnsemble(two.record_dt, two.data, two.n_states)
+    assert dof_mae(unlabelled, two, [1]).mae.max() == 0.0
+
+
 # ---------------------------------------------------------------------------
 # per-DOF errors
 
@@ -256,6 +271,12 @@ def test_histogram_mass_normalization_and_errors():
 def read_csv(path):
     with open(path) as fh:
         return list(csv.reader(fh))
+
+
+def test_write_csv_format(tmp_path):
+    path = tmp_path / "t.csv"
+    write_csv(str(path), ["a", "b", "c"], [(0, "P1", 0.1), (2, "x", np.float64(1e-300))])
+    assert path.read_bytes() == b"a,b,c\n0,P1,0.1\n2,x,1e-300\n"
 
 
 def test_populations_csv(tmp_path):

@@ -212,3 +212,54 @@ def test_init_state_flag(tmp_path):
     assert np.all(e2 >= 1.0)
     assert run("simulate", "--model", "II", "--ntraj", 2, "--t-end", 2,
                "--init-state", 3, "--out", tmp_path / "x.traj") == 2
+
+
+def test_bad_values_name_their_source(tmp_path, monkeypatch, capsys):
+    common = ["simulate", "--model", "I", "--t-end", 2, "--dt", 0.05,
+              "--out", tmp_path / "x.traj"]
+    assert run(*common, "--ntraj", 0) == 2
+    assert "--ntraj must be positive, got 0" in capsys.readouterr().err
+    monkeypatch.setenv("MMSQC_WORKERS", "abc")
+    assert run(*common, "--ntraj", 2) == 2
+    assert "invalid value for MMSQC_WORKERS: 'abc'" in capsys.readouterr().err
+    monkeypatch.setenv("MMSQC_WORKERS", "0")
+    assert run(*common, "--ntraj", 2) == 2
+    assert "MMSQC_WORKERS must be positive, got 0" in capsys.readouterr().err
+    monkeypatch.delenv("MMSQC_WORKERS")
+    config = tmp_path / "run.json"
+    for section, message in [({"ntraj": 2.7}, "config key simulate.ntraj: '2.7'"),
+                             ({"ntraj": 2, "workers": True},
+                              "config key simulate.workers: 'true'"),
+                             ({"ntraj": 2, "workers": 0},
+                              "config key simulate.workers must be positive")]:
+        config.write_text(json.dumps({"simulate": section}))
+        assert run("--config", config, *common) == 2
+        assert message in capsys.readouterr().err
+    config.write_text(json.dumps({"ntraj": "x", "simulate": {}}))
+    assert run("--config", config, *common) == 2
+    assert "invalid value for config key ntraj: 'x'" in capsys.readouterr().err
+    assert not (tmp_path / "x.traj").exists()
+
+
+def test_config_numbers_parse_like_flags(tmp_path):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"simulate": {"model": "I", "ntraj": 2, "t-end": 3,
+                                               "dt": 0.05, "seed": "4"}}))
+    out = tmp_path / "a.traj"
+    assert run("--config", config, "simulate", "--out", out) == 0
+    header = json.loads(out.read_bytes().split(b"\n", 1)[0])
+    assert header["run_config"]["t_end"] == 3.0 and header["run_config"]["seed"] == 4
+    assert b'"t_end":3.0' in out.read_bytes().split(b"\n", 1)[0]
+
+
+def test_analyze_refuses_other_model(tiny_pipeline, tmp_path, capsys):
+    _, paths = tiny_pipeline
+    other = tmp_path / "II.traj"
+    assert run("simulate", "--model", "II", "--ntraj", 5, "--t-end", 8,
+               "--dt", 0.05, "--seed", 42, "--out", other) == 0
+    capsys.readouterr()
+    for what in (["compare"], ["mae", "--slices", "2,4"]):
+        assert run("analyze", *what, "--pred", paths["pred"], "--ref", other,
+                   "--out", tmp_path / "x.csv") == 1
+        assert "different models: I vs II" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
