@@ -18,17 +18,16 @@ from mmsqc.sqc import (
     _sample_starts,
     populations,
 )
-from mmsqc.surrogate import LstmParams, _forward
+from mmsqc.surrogate import LstmParams, _unroll
 
 
 class RolloutError(RuntimeError):
     """Non-finite prediction during autoregressive replay."""
 
-    def __init__(self, step: int, trajectory: int | None = None):
+    def __init__(self, step: int, trajectory: int):
         self.step = step
         self.trajectory = trajectory
-        where = f" in trajectory {trajectory}" if trajectory is not None else ""
-        super().__init__(f"non-finite prediction at step {step}{where}")
+        super().__init__(f"non-finite prediction at step {step} in trajectory {trajectory}")
 
     def __reduce__(self):
         return (RolloutError, (self.step, self.trajectory))
@@ -51,46 +50,52 @@ class RolloutConfig:
             raise ValueError("record_dt must be positive")
 
 
-def _rollout_vectors(x0: np.ndarray, params: LstmParams, total_steps: int,
-                     seq_len: int) -> np.ndarray:
-    """Chunked autoregression: (total_steps + 1, D) including x0 at step 0."""
-    out = np.empty((total_steps + 1, x0.shape[0]))
-    out[0] = x0
-    x = x0[None]
+BLOCK = 64   # trajectories replayed together; every GEMM has this many rows
+
+
+def _rollout_block(starts: np.ndarray, params: LstmParams, total_steps: int,
+                   seq_len: int, out: np.ndarray, first: int = 0) -> None:
+    """Chunked autoregression of up to BLOCK start vectors (n, D) as one
+    batch, zero-padded to BLOCK rows. Writes (n, total_steps + 1, D), x0 at
+    step 0, into `out`. A non-finite step raises RolloutError naming the
+    trajectory (`first` + row) that fails first, lowest row on a tie."""
+    n = starts.shape[0]
+    x = np.zeros((BLOCK, starts.shape[1]))
+    x[:n] = starts
+    out[:, 0] = starts
     done = 0
     # a diverging prediction overflows to inf; the finite check reports it
     with np.errstate(over="ignore", invalid="ignore"):
         while done < total_steps:
-            ys, _ = _forward(params, x, seq_len)
-            ys = ys[0]                                    # (L-1, D)
-            take = min(len(ys), total_steps - done)
-            if not np.all(np.isfinite(ys[:take])):
-                bad = np.flatnonzero(~np.all(np.isfinite(ys[:take]), axis=1))[0]
-                raise RolloutError(done + int(bad) + 1)
-            out[done + 1:done + 1 + take] = ys[:take]
-            done += take
-            x = ys[-1][None]   # last forecast of the chunk seeds the next one
-    return out
+            chunk = out[:, done + 1:done + 1 + min(seq_len - 1, total_steps - done)]
+            x = _unroll(params, x, chunk)   # the last forecast seeds the next chunk
+            bad = ~np.all(np.isfinite(chunk), axis=2)            # (n, steps)
+            if bad.any():
+                step = int(np.flatnonzero(bad.any(axis=0))[0])
+                raise RolloutError(done + step + 1,
+                                   first + int(np.flatnonzero(bad[:, step])[0]))
+            done += chunk.shape[1]
 
 
 def rollout_trajectory(x0, params: LstmParams, total_steps: int, seq_len: int,
                        n_states: int, record_dt: float = 1.0) -> Trajectory:
-    """Replay one trajectory from a single state vector."""
+    """Replay one trajectory from a single state vector. It runs as row 0 of
+    a padded block, so it pays for a whole block and equals, bit for bit,
+    any ensemble row that sits at position 0 of its block."""
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (params.dim,):
         raise ValueError(f"x0 has shape {x0.shape}, network expects ({params.dim},)")
-    data = _rollout_vectors(x0, params, total_steps, seq_len)
-    return Trajectory(record_dt, data, n_states)
+    data = np.empty((1, total_steps + 1, params.dim))
+    _rollout_block(x0[None], params, total_steps, seq_len, data)
+    return Trajectory(record_dt, data[0], n_states)
 
 
 def _rollout_chunk(starts: np.ndarray, offset: int, params: LstmParams,
                    total_steps: int, seq_len: int) -> np.ndarray:
     out = np.empty((starts.shape[0], total_steps + 1, starts.shape[1]))
-    for i in range(starts.shape[0]):
-        try:
-            out[i] = _rollout_vectors(starts[i], params, total_steps, seq_len)
-        except RolloutError as exc:
-            raise RolloutError(exc.step, trajectory=offset + i) from None
+    for a in range(0, starts.shape[0], BLOCK):
+        _rollout_block(starts[a:a + BLOCK], params, total_steps, seq_len,
+                       out[a:a + BLOCK], offset + a)
     return out
 
 
@@ -109,7 +114,7 @@ def rollout_ensemble(model: SiteExcitonModel, params: LstmParams,
         )
     starts = _sample_starts(model, cfg.n_traj, cfg.init_state, cfg.seed, window)
     data = _map_chunks(_rollout_chunk, starts, cfg.workers,
-                       params, cfg.total_steps, cfg.seq_len)
+                       params, cfg.total_steps, cfg.seq_len, grain=BLOCK)
     return TrajectoryEnsemble(cfg.record_dt, data, model.n_states,
                               model_label=model.label, seed=cfg.seed)
 

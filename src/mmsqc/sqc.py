@@ -503,16 +503,20 @@ def _sample_starts(model: SiteExcitonModel, n_traj: int, init_state: int,
     return starts
 
 
-def _map_chunks(work, starts: np.ndarray, workers: int, *args) -> np.ndarray:
+def _map_chunks(work, starts: np.ndarray, workers: int, *args,
+                grain: int = 1) -> np.ndarray:
     """Stack work(starts[a:b], a, *args) over contiguous trajectory chunks,
     one per worker process; a single chunk runs in this process. `a` is the
-    chunk's first absolute trajectory index, for error messages. `work` must
-    be a module-level function so it can be sent to the workers."""
+    chunk's first absolute trajectory index, for error messages. Chunks hold
+    whole grains of `grain` trajectories, so every `a` is a multiple of it
+    and no chunk is empty. `work` must be a module-level function so it can
+    be sent to the workers."""
     n = starts.shape[0]
-    workers = max(1, min(workers, n))
+    grains = -(-n // grain)
+    workers = max(1, min(workers, grains))
     if workers == 1:
         return work(starts, 0, *args)
-    bounds = np.linspace(0, n, workers + 1).astype(int)
+    bounds = np.minimum(np.linspace(0, grains, workers + 1).astype(int) * grain, n)
     with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(work, starts[a:b], int(a), *args)
                    for a, b in zip(bounds[:-1], bounds[1:])]

@@ -115,20 +115,31 @@ def _cell(params: LstmParams, x, h, c):
     return h_new, c_new, cache
 
 
-def _forward(params: LstmParams, x0: np.ndarray, seq_len: int):
-    """Unrolled batch forward; x0 is (B, D). Returns ((B, L-1, D), caches)."""
-    B = x0.shape[0]
-    h = np.zeros((B, params.hidden))
+def _unroll(params: LstmParams, x0: np.ndarray, out: np.ndarray,
+            caches: list | None = None) -> np.ndarray:
+    """Unroll out.shape[1] cell steps from x0 (B, D) with h = c = 0 and write
+    read-out t to out[:, t]. `out` may hold fewer rows than x0: the extra
+    (padding) rows are computed but not stored. Appends each step's BPTT
+    cache to `caches` if one is given. Returns the last read-out (B, D)."""
+    h = np.zeros((x0.shape[0], params.hidden))
     c = np.zeros_like(h)
     x = x0
-    ys, caches = [], []
-    for _ in range(seq_len - 1):
+    for t in range(out.shape[1]):
         h, c, cache = _cell(params, x, h, c)
-        y = h @ params.W_d.T + params.b_d
-        ys.append(y)
-        caches.append(cache)
-        x = y
-    return np.stack(ys, axis=1), caches
+        x = h @ params.W_d.T + params.b_d
+        out[:, t] = x[:out.shape[0]]
+        if caches is not None:
+            caches.append(cache)
+    return x
+
+
+def _forward(params: LstmParams, x0: np.ndarray, seq_len: int):
+    """Unrolled batch forward for training; x0 is (B, D). Returns
+    ((B, L-1, D), caches)."""
+    ys = np.empty((x0.shape[0], seq_len - 1, params.dim))
+    caches = []
+    _unroll(params, x0, ys, caches)
+    return ys, caches
 
 
 def _backward(params: LstmParams, caches: list, dY: np.ndarray) -> LstmParams:
@@ -331,7 +342,8 @@ def evaluate_loss(sequences: np.ndarray, params: LstmParams, seq_len: int,
     total = 0.0
     for start in range(0, len(sequences), chunk):
         block = sequences[start:start + chunk]
-        ys, _ = _forward(params, block[:, 0, :], seq_len)
+        ys = np.empty((block.shape[0], seq_len - 1, params.dim))
+        _unroll(params, block[:, 0, :], ys)
         total += np.sum((ys - block[:, 1:, :])**2)
     return float(total / (sequences.shape[0] * (seq_len - 1) * sequences.shape[2]))
 

@@ -1,9 +1,12 @@
 import csv
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mmsqc.analysis import (
+    BLOCK,
     RolloutConfig,
     RolloutError,
     _rollout_chunk,
@@ -76,11 +79,14 @@ def test_rollout_counts_and_values(seq_len, total_steps):
 
 
 def test_rollout_single_chunk_is_one_forward_pass():
+    """A lone trajectory replays as row 0 of a zero-padded BLOCK-row batch."""
     params = init_params(4, 8, np.random.default_rng(3))
     x0 = np.random.default_rng(4).normal(size=4)
     traj = rollout_trajectory(x0, params, 4, 5, n_states=1)
-    ys, _ = one_to_many_forward(x0, 5, params)
-    assert np.array_equal(traj.data[1:], ys)
+    padded = np.zeros((BLOCK, 4))
+    padded[0] = x0
+    ys, _ = one_to_many_forward(padded, 5, params)
+    assert np.array_equal(traj.data[1:], ys[0])
 
 
 def test_rollout_dimension_check():
@@ -136,6 +142,69 @@ def test_fan_out_error_names_absolute_trajectory(workers):
         _map_chunks(_rollout_chunk, starts, workers, params, 6, 3)
     assert err.value.trajectory == 4
     assert err.value.step == 1
+
+
+@settings(max_examples=10, deadline=None)
+@given(n_traj=st.sampled_from([1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 2]),
+       seed=st.integers(0, 2**32 - 1))
+def test_rollout_block_edges(n_traj, seed):
+    """Blocks sit at absolute trajectory indices: the bytes do not depend on
+    the worker count, a block's row 0 replays alone bit for bit, and a
+    failure names its absolute trajectory. Other rows are not compared with
+    lone replays: BLAS may round a row differently at another block position
+    (model V's 284-wide read-out shows this, so a misplaced block edge changes
+    the bytes)."""
+    model = build_model("V")
+    params = init_params(model.dim, 8, substream(seed, "init"))
+    cfg = RolloutConfig(n_traj, 7, 4, seed=seed)
+    base = rollout_ensemble(model, params, cfg)
+    for workers in (2, 3):
+        other = rollout_ensemble(model, params, replace(cfg, workers=workers))
+        assert other.data.tobytes() == base.data.tobytes()
+    for i in range(0, n_traj, BLOCK):
+        alone = rollout_trajectory(base.data[i, 0], params, 7, 4, model.n_states)
+        assert np.array_equal(alone.data, base.data[i])
+
+    starts = _sample_starts(model, n_traj, 0, seed, WindowConfig())
+    bad = min(70, n_traj - 1)
+    starts[bad, 0] = np.nan
+    for workers in (1, 2):
+        with pytest.raises(RolloutError) as err:
+            _map_chunks(_rollout_chunk, starts, workers, params, 7, 4, grain=BLOCK)
+        assert (err.value.step, err.value.trajectory) == (1, bad)
+
+
+def overflow_params():
+    """D=2, H=1 network whose cell state starts at tanh(10 x0[0] + 0.1) and
+    then grows by tanh(0.1) per step (all other gates saturate at 1, and
+    read-out 0 is zero). Read-out 1 = 1e308 (h + 1) overflows once h > 0.798,
+    so x0[0] = -1 never fails within 20 steps, 0 fails at step 11 and 1 at
+    step 2."""
+    params = LstmParams.zeros(2, 1)
+    params.b_i[:] = params.b_f[:] = params.b_o[:] = 50.0
+    params.b_g[:] = 0.1
+    params.W_g[0, 0] = 10.0
+    params.W_d[1, 0] = params.b_d[1] = 1e308
+    return params
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_rollout_error_names_first_failure_in_block(workers):
+    params = overflow_params()
+    starts = np.zeros((2 * BLOCK + 2, 2))
+    starts[:, 0] = -1.0
+    late, early, tie = BLOCK + 2, BLOCK + 36, BLOCK + 56
+    starts[late, 0] = 0.0
+    starts[early, 0] = starts[tie, 0] = 1.0
+    steps = []
+    for i in (late, early, tie):
+        with pytest.raises(RolloutError) as err:
+            rollout_trajectory(starts[i], params, 20, 30, n_states=1)
+        steps.append(err.value.step)
+    assert steps == [11, 2, 2]
+    with pytest.raises(RolloutError) as err:
+        _map_chunks(_rollout_chunk, starts, workers, params, 20, 30, grain=BLOCK)
+    assert (err.value.step, err.value.trajectory) == (2, early)
 
 
 def test_rollout_nonfinite_reports_step():
