@@ -119,14 +119,6 @@ class SiteExcitonModel:
             f"n_modes={self.n_modes})"
         )
 
-    def _check_nuclear(self, *arrays):
-        for arr in arrays:
-            if arr.shape[-1] != self.n_modes:
-                raise ValueError(
-                    f"nuclear array has {arr.shape[-1]} entries, "
-                    f"model {self.label} has {self.n_modes} modes"
-                )
-
     def to_config(self) -> dict:
         return {
             "label": self.label,
@@ -202,30 +194,6 @@ def build_model(label: str) -> SiteExcitonModel:
         per_state = _LOCAL_MODES
     modes = [list(per_state) for _ in range(len(v))]
     return SiteExcitonModel(label, v, modes)
-
-
-def diabatic_elements(model: SiteExcitonModel, Q) -> tuple[np.ndarray, np.ndarray]:
-    """Diabatic matrix at nuclear geometry Q.
-
-    Returns (diag, offdiag): diag_k = V_kk + sum_j kappa_kj Q_kj with shape
-    (..., n_states); offdiag is v with a zeroed diagonal (coordinate independent).
-    """
-    Q = np.asarray(Q, dtype=float)
-    model._check_nuclear(Q)
-    diag = np.empty(Q.shape[:-1] + (model.n_states,))
-    for k, sl in enumerate(model.state_slices):
-        diag[..., k] = model.v[k, k] + np.sum(model.kappa[sl] * Q[..., sl], axis=-1)
-    offdiag = model.v - np.diag(np.diag(model.v))
-    return diag, offdiag
-
-
-def bath_energy(model: SiteExcitonModel, Q, P) -> float | np.ndarray:
-    """Harmonic phonon energy sum_kj (omega_kj/2)(Q_kj^2 + P_kj^2) in eV."""
-    Q = np.asarray(Q, dtype=float)
-    P = np.asarray(P, dtype=float)
-    model._check_nuclear(Q, P)
-    energy = np.sum(0.5 * model.omega * (Q**2 + P**2), axis=-1)
-    return float(energy) if energy.ndim == 0 else energy
 
 
 def save_model(model: SiteExcitonModel, path: str) -> None:

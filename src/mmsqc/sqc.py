@@ -24,10 +24,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from mmsqc import arrayio
-from mmsqc.models import HBAR_EV_FS, SiteExcitonModel, bath_energy, diabatic_elements
+from mmsqc.models import HBAR_EV_FS, SiteExcitonModel
 from mmsqc.streams import substream
 
 STATE_ORDERING = "x_e|p_e|Q|P"
+ENERGY_CHUNK = 2048   # recorded states per energy evaluation in ensemble_energies
 
 
 @dataclass(frozen=True)
@@ -44,11 +45,10 @@ class WindowConfig:
 @dataclass(frozen=True)
 class IntegratorConfig:
     dt_internal: float = 0.01  # fs
-    hbar: float = HBAR_EV_FS   # eV*fs
 
     def __post_init__(self):
-        if self.dt_internal <= 0.0 or self.hbar <= 0.0:
-            raise ValueError("dt_internal and hbar must be positive")
+        if self.dt_internal <= 0.0:
+            raise ValueError("dt_internal must be positive")
 
 
 @dataclass
@@ -124,34 +124,15 @@ def _variable_name(model: SiteExcitonModel, flat_index: int) -> str:
 
 
 def _split(Y: np.ndarray, ne: int, nv: int):
-    return (Y[..., :ne], Y[..., ne:2 * ne],
-            Y[..., 2 * ne:2 * ne + nv], Y[..., 2 * ne + nv:])
-
-
-def _batch_energy(model: SiteExcitonModel, Y: np.ndarray, gamma: float) -> np.ndarray:
-    xe, pe, Q, P = _split(Y, model.n_states, model.n_modes)
-    energy = bath_energy(model, Q, P)
-    weight = 0.5 * (xe**2 + pe**2) - gamma
-    diag, offdiag = diabatic_elements(model, Q)
-    for k in range(model.n_states):
-        energy += weight[..., k] * diag[..., k]
-        for l in range(k + 1, model.n_states):
-            if offdiag[k, l] != 0.0:
-                energy += offdiag[k, l] * (xe[..., k] * xe[..., l] + pe[..., k] * pe[..., l])
-    return energy
-
-
-def mm_energy(model: SiteExcitonModel, state: PhaseSpaceState,
-              cfg: WindowConfig = WindowConfig()) -> float:
-    """Mapping-Hamiltonian energy of a single phase-space point (eV)."""
-    _check_dims(model, state)
-    return float(_batch_energy(model, pack_state(state), cfg.gamma))
+    """The x_e, p_e, Q, P blocks along axis 0."""
+    return Y[:ne], Y[ne:2 * ne], Y[2 * ne:2 * ne + nv], Y[2 * ne + nv:]
 
 
 def _tree_sum_rows(a: np.ndarray) -> np.ndarray:
-    """Sum a (m, n) array over axis 0 with a fixed binary tree of elementwise
-    adds. Unlike np.sum, whose internal strategy varies with the array shape,
-    the floating-point result per column is independent of n."""
+    """Sum an (m, ...) array over axis 0 with a fixed binary tree of
+    elementwise adds. Unlike np.sum, whose internal strategy varies with the
+    array shape, the floating-point result per column is independent of the
+    trailing shape."""
     if a.shape[0] == 0:
         return np.zeros(a.shape[1:])
     while a.shape[0] > 1:
@@ -163,82 +144,103 @@ def _tree_sum_rows(a: np.ndarray) -> np.ndarray:
     return a[0]
 
 
-class _DerivKernel:
-    """Hamilton's equations for variables-major (dim, n) batches, in 1/fs.
+class _Hamiltonian:
+    """The mapping Hamiltonian of one model on variables-major (dim, n)
+    batches: Hamilton's equations in 1/fs and the energy in eV.
 
     The transposed layout keeps every block operation contiguous. Column
-    independence matters: only elementwise ops, row gathers, per-state loops
-    and fixed-tree reductions, so each trajectory's derivative never depends
-    on the batch shape. Constants are pre-divided by hbar.
-
-    It computes the diagonal V_kk + kappa.Q itself, not through
-    models.diabatic_elements, to use the hbar-scaled constants and the
-    batch-shape-invariant _tree_sum_rows.
+    independence matters: only elementwise ops, row gathers, loops over
+    states and fixed-tree reductions, so each trajectory's result never
+    depends on the batch shape. Constants are pre-divided by hbar.
     """
 
-    def __init__(self, model: SiteExcitonModel, gamma: float, hbar: float):
-        self.ne = model.n_states
-        self.nv = model.n_modes
-        self.gamma = gamma
-        self.slices = model.state_slices
-        self.v_over_h = model.v / hbar
-        self.kappa_over_h = (model.kappa / hbar)[:, None]
-        self.omega_over_h = (model.omega / hbar)[:, None]
-        self.neg_omega_over_h = -self.omega_over_h
-        self.neg_kappa_over_h = -self.kappa_over_h
-        self.mode_state = np.concatenate(
-            [np.full(sl.stop - sl.start, k, dtype=np.intp)
-             for k, sl in enumerate(self.slices)]
-        ) if self.nv else np.empty(0, dtype=np.intp)
+    def __init__(self, model: SiteExcitonModel, gamma: float):
+        ne, nv = model.n_states, model.n_modes
+        self.ne, self.nv, self.gamma = ne, nv, gamma
+        v_h = model.v / HBAR_EV_FS
+        self.v_diag_h = np.diag(v_h)[:, None]
+        off_h = v_h - np.diag(np.diag(v_h))
+        # (l, column l of V/hbar with a zeroed diagonal) for every coupled l
+        self.columns = [(l, off_h[:, l:l + 1]) for l in range(ne) if off_h[:, l].any()]
+        self.pairs = [(k, l, off_h[k, l]) for k in range(ne)
+                      for l in range(k + 1, ne) if off_h[k, l] != 0.0]
+        kappa_h = (model.kappa / HBAR_EV_FS)[:, None]
+        self.omega_h = (model.omega / HBAR_EV_FS)[:, None]
+        self.neg_omega_h = -self.omega_h
+        self.neg_kappa_h = -kappa_h
+        counts = [sl.stop - sl.start for sl in model.state_slices]
+        self.mode_state = np.repeat(np.arange(ne), counts)
+        # diag_rows[j, k]: the row in Y of state k's j-th mode Q, and
+        # diag_kappa_h its kappa/hbar. States with fewer modes are padded with
+        # row 0 and a zero kappa. A zero term leaves every level of the tree
+        # sum as it was (x + 0 = x; at most an exact zero changes sign), so
+        # each state's diagonal keeps its bits.
+        self.diag_rows = np.zeros((max(counts), ne), dtype=np.intp)
+        self.diag_kappa_h = np.zeros((max(counts), ne, 1))
+        for k, sl in enumerate(model.state_slices):
+            self.diag_rows[:counts[k], k] = np.arange(2 * ne + sl.start, 2 * ne + sl.stop)
+            self.diag_kappa_h[:counts[k], k] = kappa_h[sl]
 
-    def __call__(self, Y: np.ndarray, out: np.ndarray) -> np.ndarray:
-        ne, nv = self.ne, self.nv
-        xe, pe = Y[:ne], Y[ne:2 * ne]
-        Q, P = Y[2 * ne:2 * ne + nv], Y[2 * ne + nv:]
-        dxe, dpe = out[:ne], out[ne:2 * ne]
-        dQ, dP = out[2 * ne:2 * ne + nv], out[2 * ne + nv:]
-
+    def _weight(self, xe: np.ndarray, pe: np.ndarray) -> np.ndarray:
         weight = 0.5 * (xe * xe + pe * pe)
         weight -= self.gamma
+        return weight
+
+    def _diagonal(self, Y: np.ndarray) -> np.ndarray:
+        """(V_kk + kappa_k.Q_k)/hbar for every state, (n_states, n)."""
+        terms = Y[self.diag_rows]
+        terms *= self.diag_kappa_h
+        diag = _tree_sum_rows(terms)
+        diag += self.v_diag_h
+        return diag
+
+    def _deriv(self, Y: np.ndarray, out: np.ndarray) -> np.ndarray:
+        xe, pe, Q, P = _split(Y, self.ne, self.nv)
+        dxe, dpe, dQ, dP = _split(out, self.ne, self.nv)
+        weight = self._weight(xe, pe)
         # nuclear: dQ = (w/hbar) P, dP = -(w/hbar) Q - (kappa/hbar) weight_state
-        np.multiply(P, self.omega_over_h, out=dQ)
-        np.multiply(Q, self.neg_omega_over_h, out=dP)
-        if nv:
-            gathered = weight[self.mode_state]
-            gathered *= self.neg_kappa_over_h
-            dP += gathered
-        # electronic: per-state diagonal plus off-diagonal coupling
-        vh = self.v_over_h
-        for k in range(ne):
-            sl = self.slices[k]
-            diag_h = _tree_sum_rows(self.kappa_over_h[sl] * Q[sl])
-            diag_h += vh[k, k]
-            cx = pe[k] * diag_h
-            cp = xe[k] * diag_h
-            for l in range(ne):
-                if l != k and vh[k, l] != 0.0:
-                    cx += vh[k, l] * pe[l]
-                    cp += vh[k, l] * xe[l]
-            dxe[k] = cx
-            np.negative(cp, out=dpe[k])
+        np.multiply(P, self.omega_h, out=dQ)
+        np.multiply(Q, self.neg_omega_h, out=dP)
+        gathered = weight[self.mode_state]
+        gathered *= self.neg_kappa_h
+        dP += gathered
+        # electronic: diagonal, then the couplings in column order
+        diag = self._diagonal(Y)
+        np.multiply(pe, diag, out=dxe)
+        cp = xe * diag
+        for l, col in self.columns:
+            dxe += col * pe[l]
+            cp += col * xe[l]
+        np.negative(cp, out=dpe)
         return out
 
+    def _energy(self, Y: np.ndarray) -> np.ndarray:
+        """Energy of every column, (n,), in eV."""
+        xe, pe, Q, P = _split(Y, self.ne, self.nv)
+        energy = _tree_sum_rows(self._weight(xe, pe) * self._diagonal(Y))
+        bath = Q * Q
+        bath += P * P
+        bath *= 0.5 * self.omega_h
+        energy += _tree_sum_rows(bath)
+        for k, l, v_kl in self.pairs:
+            energy += v_kl * (xe[k] * xe[l] + pe[k] * pe[l])
+        return energy * HBAR_EV_FS
 
-def _batch_deriv(model: SiteExcitonModel, Y: np.ndarray, gamma: float,
-                 hbar: float) -> np.ndarray:
-    """Derivative of a (n, dim) batch or a single (dim,) vector."""
-    single = Y.ndim == 1
-    YT = np.ascontiguousarray((Y[None, :] if single else Y).T)
-    out = _DerivKernel(model, gamma, hbar)(YT, np.empty_like(YT)).T
-    return out[0] if single else out
+
+def mm_energy(model: SiteExcitonModel, state: PhaseSpaceState,
+              cfg: WindowConfig = WindowConfig()) -> float:
+    """Mapping-Hamiltonian energy of a single phase-space point (eV)."""
+    _check_dims(model, state)
+    return float(_Hamiltonian(model, cfg.gamma)._energy(pack_state(state)[:, None])[0])
 
 
 def eom(model: SiteExcitonModel, state: PhaseSpaceState,
-        cfg: WindowConfig = WindowConfig(), hbar: float = HBAR_EV_FS):
+        cfg: WindowConfig = WindowConfig()):
     """Time derivatives (dx_e, dp_e, dQ, dP) of one state, in 1/fs."""
     _check_dims(model, state)
-    dvec = _batch_deriv(model, pack_state(state), cfg.gamma, hbar)
-    return _split(dvec, model.n_states, model.n_modes)
+    Y = pack_state(state)[:, None]
+    dY = _Hamiltonian(model, cfg.gamma)._deriv(Y, np.empty_like(Y))
+    return _split(dY[:, 0], model.n_states, model.n_modes)
 
 
 def _check_dims(model: SiteExcitonModel, state: PhaseSpaceState) -> None:
@@ -445,7 +447,7 @@ def _propagate_batch(model: SiteExcitonModel, Y0: np.ndarray, icfg: IntegratorCo
     n_rec = _grid_steps(t_end, record_dt, "t_end") + 1
     n_sub = _grid_steps(record_dt, icfg.dt_internal, "record_dt")
     h = record_dt / n_sub
-    deriv = _DerivKernel(model, gamma, icfg.hbar)
+    deriv = _Hamiltonian(model, gamma)._deriv
 
     out = np.empty((Y0.shape[0], n_rec, Y0.shape[1]))
     out[:, 0] = Y0
@@ -474,7 +476,8 @@ def _propagate_batch(model: SiteExcitonModel, Y0: np.ndarray, icfg: IntegratorCo
                 k2 *= h / 6.0
                 Y += k2
             if not np.all(np.isfinite(Y)):
-                var, row = np.argwhere(~np.isfinite(Y))[0]
+                # lowest trajectory first, then its lowest variable
+                row, var = np.argwhere(~np.isfinite(Y.T))[0]
                 raise IntegrationError(rec * record_dt,
                                        _variable_name(model, int(var)),
                                        trajectory=int(row))
@@ -510,7 +513,12 @@ def _map_chunks(work, starts: np.ndarray, workers: int, *args,
     chunk's first absolute trajectory index, for error messages. Chunks hold
     whole grains of `grain` trajectories, so every `a` is a multiple of it
     and no chunk is empty. `work` must be a module-level function so it can
-    be sent to the workers."""
+    be sent to the workers.
+
+    Every chunk runs to the end. If any failed, the failure with the
+    earliest time `t` is raised (a failure without one counts as t = 0),
+    ties going to chunk order, so the error does not depend on the chunk
+    count."""
     n = starts.shape[0]
     grains = -(-n // grain)
     workers = max(1, min(workers, grains))
@@ -520,7 +528,10 @@ def _map_chunks(work, starts: np.ndarray, workers: int, *args,
     with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(work, starts[a:b], int(a), *args)
                    for a, b in zip(bounds[:-1], bounds[1:])]
-        return np.concatenate([fut.result() for fut in futures])
+    failures = [exc for exc in (fut.exception() for fut in futures) if exc is not None]
+    if failures:
+        raise min(failures, key=lambda exc: getattr(exc, "t", 0.0))
+    return np.concatenate([fut.result() for fut in futures])
 
 
 def _propagate_chunk(Y0: np.ndarray, offset: int, model: SiteExcitonModel,
@@ -555,8 +566,16 @@ def run_ensemble(model: SiteExcitonModel, n_traj: int, init_state: int, seed: in
 
 def ensemble_energies(model: SiteExcitonModel, ensemble: TrajectoryEnsemble,
                       cfg: WindowConfig = WindowConfig()) -> np.ndarray:
-    """Mapping-Hamiltonian energy of every recorded state, (n_traj, n_records)."""
-    return _batch_energy(model, ensemble.data, cfg.gamma)
+    """Mapping-Hamiltonian energy of every recorded state, (n_traj, n_records).
+
+    States are evaluated ENERGY_CHUNK at a time, so the temporaries stay a
+    few MB for any ensemble size."""
+    flat = ensemble.data.reshape(-1, ensemble.dim)
+    ham = _Hamiltonian(model, cfg.gamma)
+    energies = np.empty(len(flat))
+    for a in range(0, len(flat), ENERGY_CHUNK):
+        energies[a:a + ENERGY_CHUNK] = ham._energy(flat[a:a + ENERGY_CHUNK].T)
+    return energies.reshape(ensemble.data.shape[:2])
 
 
 # ---------------------------------------------------------------------------

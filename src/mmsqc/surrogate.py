@@ -27,6 +27,8 @@ from mmsqc.streams import substream
 TENSOR_FIELDS = ("W_i", "W_f", "W_o", "W_g", "U_i", "U_f", "U_o", "U_g",
                  "b_i", "b_f", "b_o", "b_g", "W_d", "b_d")
 
+EVAL_CHUNK = 512   # sequences per forward pass when evaluating a loss
+
 
 def _flat_size(dim: int, hidden: int) -> int:
     return 4 * hidden * (dim + hidden + 1) + dim * (hidden + 1)
@@ -334,14 +336,13 @@ class TrainDivergedError(RuntimeError):
         return (TrainDivergedError, (self.epoch, self.batch))
 
 
-def evaluate_loss(sequences: np.ndarray, params: LstmParams, seq_len: int,
-                  chunk: int = 512) -> float:
+def evaluate_loss(sequences: np.ndarray, params: LstmParams, seq_len: int) -> float:
     """Mean sequence loss over a (count, L, D) array, forward only."""
     if len(sequences) == 0:
         return float("nan")
     total = 0.0
-    for start in range(0, len(sequences), chunk):
-        block = sequences[start:start + chunk]
+    for start in range(0, len(sequences), EVAL_CHUNK):
+        block = sequences[start:start + EVAL_CHUNK]
         ys = np.empty((block.shape[0], seq_len - 1, params.dim))
         _unroll(params, block[:, 0, :], ys)
         total += np.sum((ys - block[:, 1:, :])**2)

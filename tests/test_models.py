@@ -4,17 +4,17 @@ import pytest
 from mmsqc.models import (
     CM1_TO_EV,
     DEBYE_SPEC,
+    HBAR_EV_FS,
     DebyeBathSpec,
     Mode,
     SiteExcitonModel,
-    bath_energy,
     build_model,
     debye_spectral_density,
-    diabatic_elements,
     discretize_debye,
     load_model,
     save_model,
 )
+from mmsqc.sqc import PhaseSpaceState, WindowConfig, _Hamiltonian, mm_energy
 from reference_tables import DEBYE_MODES_EV, LOCAL_MODES_EV, SITE_MATRICES_EV
 
 
@@ -102,45 +102,68 @@ def test_mode_validation():
         Mode(omega=0.1, kappa=float("nan"))
 
 
+def diagonal(model, Q):
+    """V_kk + kappa_k.Q_k in eV, from the Hamiltonian the dynamics use."""
+    ham = _Hamiltonian(model, WindowConfig().gamma)
+    Y = np.concatenate([np.zeros(2 * model.n_states), Q, np.zeros(model.n_modes)])
+    return ham._diagonal(Y[:, None])[:, 0] * HBAR_EV_FS
+
+
+def state(model, x_e=None, Q=None, P=None):
+    zeros = np.zeros(model.n_modes)
+    return PhaseSpaceState(np.zeros(model.n_states) if x_e is None else x_e,
+                           np.zeros(model.n_states),
+                           zeros if Q is None else Q, zeros if P is None else P)
+
+
+def kappa_zeroed(model):
+    modes = [[Mode(m.omega, 0.0) for m in lst] for lst in model.modes_per_state]
+    return SiteExcitonModel(model.label + "-k0", model.v, modes)
+
+
 def test_diabatic_elements_at_origin():
     model = build_model("I")
-    diag, offdiag = diabatic_elements(model, np.zeros(16))
-    assert np.array_equal(diag, np.zeros(2))
-    assert offdiag[0, 1] == pytest.approx(0.2)
-    assert np.array_equal(np.diag(offdiag), np.zeros(2))
+    assert np.array_equal(diagonal(model, np.zeros(16)), np.zeros(2))
+    # x = (1, 1): both weights are 1/2 - gamma on a zero diagonal, so only
+    # the off-diagonal V_01 (x_0 x_1 + p_0 p_1) = 0.2 remains
+    assert mm_energy(model, state(model, x_e=np.ones(2))) == pytest.approx(0.2)
 
-    diag2, _ = diabatic_elements(build_model("II"), np.zeros(16))
-    assert np.array_equal(diag2, np.array([0.2, 0.0]))
+    model2 = build_model("II")
+    assert diagonal(model2, np.zeros(16)) == pytest.approx([0.2, 0.0])
+    # x_0 = sqrt(2) gives state 0 the weight 1 - gamma; V_00 = 0.2 counts once
+    excited = state(model2, x_e=np.array([np.sqrt(2.0), 0.0]))
+    assert mm_energy(model2, excited) == pytest.approx(0.2 * (1.0 - WindowConfig().gamma))
 
 
 def test_diabatic_elements_single_mode_displacement():
     model = build_model("I")
     Q = np.zeros(16)
     Q[2] = 1.0  # third table mode of state 0: omega 0.1649 eV, kappa -0.1120 eV
-    diag, _ = diabatic_elements(model, Q)
+    diag = diagonal(model, Q)
     assert diag[0] == pytest.approx(-0.1120)
     assert diag[1] == pytest.approx(0.0)
 
 
 def test_diabatic_elements_length_mismatch():
-    with pytest.raises(ValueError, match="16 modes"):
-        diabatic_elements(build_model("I"), np.zeros(15))
+    model = build_model("I")
+    with pytest.raises(ValueError, match="has 16"):
+        mm_energy(model, state(model, Q=np.zeros(15), P=np.zeros(15)))
 
 
 def test_bath_energy_zero_and_single_mode():
-    model = build_model("I")
-    assert bath_energy(model, np.zeros(16), np.zeros(16)) == 0.0
+    model = kappa_zeroed(build_model("I"))
+    assert mm_energy(model, state(model)) == 0.0
     single = SiteExcitonModel("one-mode", [[0.0, 0.0], [0.0, 0.0]],
                               [[Mode(0.2, 0.0)], []])
-    assert bath_energy(single, np.array([1.0]), np.array([0.0])) == pytest.approx(0.1)
+    assert mm_energy(single, state(single, Q=np.array([1.0]))) == pytest.approx(0.1)
 
 
 def test_bath_energy_model_v_ground_ring():
     """All rings at Q^2 + P^2 = 1: energy equals the direct table sum."""
-    model = build_model("V")
+    model = kappa_zeroed(build_model("V"))
     rng = np.random.default_rng(5)
     phi = rng.uniform(0, 2 * np.pi, size=140)
-    energy = bath_energy(model, np.cos(phi), np.sin(phi))
+    energy = mm_energy(model, state(model, Q=np.cos(phi), P=np.sin(phi)))
     table_sum = 2 * np.sum(0.5 * DEBYE_MODES_EV[:, 0])
     assert energy == pytest.approx(table_sum, rel=1e-3)
 
@@ -148,7 +171,9 @@ def test_bath_energy_model_v_ground_ring():
 def test_bath_energy_length_mismatch():
     model = build_model("V")
     with pytest.raises(ValueError):
-        bath_energy(model, np.zeros(140), np.zeros(139))
+        mm_energy(model, state(model, Q=np.zeros(140), P=np.zeros(139)))
+    with pytest.raises(ValueError):
+        mm_energy(model, state(model, Q=np.zeros(139), P=np.zeros(139)))
 
 
 def test_asymmetric_matrix_rejected():

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from mmsqc import arrayio
 from mmsqc.models import HBAR_EV_FS, Mode, SiteExcitonModel, build_model
 from mmsqc.sqc import (
+    ENERGY_CHUNK,
     IntegrationError,
     IntegratorConfig,
     PhaseSpaceState,
@@ -22,9 +24,11 @@ from mmsqc.sqc import (
     unpack_state,
     window_assign,
     ensemble_energies,
+    _Hamiltonian,
     _map_chunks,
     _propagate_chunk,
     _sample_starts,
+    _tree_sum_rows,
 )
 from mmsqc.streams import substream
 
@@ -39,6 +43,15 @@ def zero_state(model, t=0.0):
 def kappa_zeroed(model):
     modes = [[Mode(m.omega, 0.0) for m in lst] for lst in model.modes_per_state]
     return SiteExcitonModel(model.label + "-k0", model.v, modes)
+
+
+def unequal_model():
+    """Three states with 3, 0 and 5 modes; states 0 and 2 are not coupled."""
+    rng = np.random.default_rng(17)
+    modes = [[Mode(float(rng.uniform(0.05, 0.2)), float(rng.normal(scale=0.05)))
+              for _ in range(count)] for count in (3, 0, 5)]
+    v = [[0.1, 0.05, 0.0], [0.05, -0.02, 0.07], [0.0, 0.07, 0.0]]
+    return SiteExcitonModel("unequal", v, modes)
 
 
 def random_state(model, seed):
@@ -127,10 +140,11 @@ def test_eom_at_origin():
     assert np.allclose(dP, GAMMA * model.kappa / HBAR_EV_FS, rtol=1e-12)
 
 
-@pytest.mark.parametrize("label,seed", [("I", 0), ("I", 1), ("III", 2), ("V", 3)])
+@pytest.mark.parametrize("label,seed", [("I", 0), ("I", 1), ("III", 2), ("V", 3),
+                                        ("unequal", 4)])
 def test_eom_matches_energy_gradient(label, seed):
     """Hamilton's equations = (1/hbar) * symplectic gradient of the energy."""
-    model = build_model(label)
+    model = unequal_model() if label == "unequal" else build_model(label)
     state = random_state(model, seed)
     dx, dp, dQ, dP = eom(model, state)
     vec = pack_state(state)
@@ -151,6 +165,97 @@ def test_eom_matches_energy_gradient(label, seed):
     expected = np.concatenate([dE_dp, -dE_dx, dE_dP, -dE_dQ]) / HBAR_EV_FS
     got = np.concatenate([dx, dp, dQ, dP])
     assert np.max(np.abs(got - expected)) <= 1e-8 * np.max(np.abs(expected))
+
+
+class PerStateDeriv:
+    """Hamilton's equations one state at a time: each state's diagonal is its
+    own tree sum, and each coupling is added only where V_kl != 0, in
+    increasing l. The reference for _Hamiltonian._deriv."""
+
+    def __init__(self, model, gamma):
+        self.ne, self.nv, self.gamma = model.n_states, model.n_modes, gamma
+        self.slices = model.state_slices
+        self.v_over_h = model.v / HBAR_EV_FS
+        self.kappa_over_h = (model.kappa / HBAR_EV_FS)[:, None]
+        self.omega_over_h = (model.omega / HBAR_EV_FS)[:, None]
+        self.mode_state = np.repeat(np.arange(self.ne),
+                                    [sl.stop - sl.start for sl in self.slices])
+
+    def __call__(self, Y):
+        ne, nv = self.ne, self.nv
+        xe, pe = Y[:ne], Y[ne:2 * ne]
+        Q, P = Y[2 * ne:2 * ne + nv], Y[2 * ne + nv:]
+        out = np.empty_like(Y)
+        weight = 0.5 * (xe * xe + pe * pe)
+        weight -= self.gamma
+        out[2 * ne:2 * ne + nv] = P * self.omega_over_h
+        dP = Q * -self.omega_over_h
+        dP += weight[self.mode_state] * -self.kappa_over_h
+        out[2 * ne + nv:] = dP
+        vh = self.v_over_h
+        for k in range(ne):
+            sl = self.slices[k]
+            diag_h = _tree_sum_rows(self.kappa_over_h[sl] * Q[sl])
+            diag_h += vh[k, k]
+            cx = pe[k] * diag_h
+            cp = xe[k] * diag_h
+            for l in range(ne):
+                if l != k and vh[k, l] != 0.0:
+                    cx += vh[k, l] * pe[l]
+                    cp += vh[k, l] * xe[l]
+            out[k] = cx
+            out[ne + k] = -cp
+        return out
+
+
+def per_state_energy(model, y, gamma):
+    """Energy of one packed state vector, term by term (eV), and the sum of
+    the terms' magnitudes."""
+    ne, nv = model.n_states, model.n_modes
+    xe, pe, Q, P = y[:ne], y[ne:2 * ne], y[2 * ne:2 * ne + nv], y[2 * ne + nv:]
+    terms = [0.5 * w * (q * q + p * p) for w, q, p in zip(model.omega, Q, P)]
+    for k, sl in enumerate(model.state_slices):
+        diag = model.v[k, k] + sum(kp * q for kp, q in zip(model.kappa[sl], Q[sl]))
+        terms.append((0.5 * (xe[k]**2 + pe[k]**2) - gamma) * diag)
+        for l in range(k + 1, ne):
+            terms.append(model.v[k, l] * (xe[k] * xe[l] + pe[k] * pe[l]))
+    return sum(terms), sum(abs(t) for t in terms)
+
+
+@st.composite
+def custom_models(draw):
+    """2-3 states, 0-9 modes per state, zero and nonzero couplings."""
+    ne = draw(st.integers(2, 3))
+    energy = st.floats(-0.3, 0.3, allow_subnormal=False)
+    v = np.zeros((ne, ne))
+    for k in range(ne):
+        v[k, k] = draw(energy)
+        for l in range(k + 1, ne):
+            v[k, l] = v[l, k] = draw(st.sampled_from([0.0, 0.2]) | energy)
+    modes = [[Mode(draw(st.floats(0.01, 0.3)), draw(energy))
+              for _ in range(draw(st.integers(0, 9)))] for _ in range(ne)]
+    return SiteExcitonModel("custom", v, modes)
+
+
+@settings(max_examples=150, deadline=None)
+@given(model=custom_models(), n=st.integers(1, 9), seed=st.integers(0, 2**32 - 1))
+@example(model=SiteExcitonModel("none", [[0.1, 0.05], [0.05, 0.0]], [[], []]), n=3, seed=0)
+def test_hamiltonian_matches_per_state_reference(model, n, seed):
+    """The one-pass diagonal gives the per-state derivative (equal values;
+    a zero coupling adds 0*p, which may turn an exact -0.0 into +0.0), a
+    trajectory's derivative does not depend on its batch, and the energy is
+    the plain per-state sum."""
+    Y = np.random.default_rng(seed).normal(size=(model.dim, n))
+    ham = _Hamiltonian(model, GAMMA)
+    dY = ham._deriv(Y, np.empty_like(Y))
+    assert np.array_equal(dY, PerStateDeriv(model, GAMMA)(Y))
+    i = seed % n
+    row = np.ascontiguousarray(Y[:, i:i + 1])
+    assert ham._deriv(row, np.empty_like(row)).tobytes() == dY[:, i:i + 1].tobytes()
+    energies = ham._energy(Y)
+    for j in range(n):
+        want, scale = per_state_energy(model, Y[:, j], GAMMA)
+        assert abs(energies[j] - want) <= 1e-12 * scale
 
 
 # ---------------------------------------------------------------------------
@@ -247,6 +352,17 @@ def test_energy_conservation_short():
     assert np.max(np.abs(energies - energies[:, :1])) <= 1e-5
 
 
+def test_ensemble_energies_match_mm_energy():
+    """Evaluated in chunks of ENERGY_CHUNK states, every energy is still
+    the one mm_energy gives for that state alone, bit for bit."""
+    model = build_model("I")
+    data = np.random.default_rng(6).normal(size=(ENERGY_CHUNK // 16 + 3, 17, model.dim))
+    energies = ensemble_energies(model, TrajectoryEnsemble(1.0, data, model.n_states))
+    expected = [[mm_energy(model, unpack_state(y, model.n_states)) for y in traj]
+                for traj in data]
+    assert energies.tobytes() == np.array(expected).tobytes()
+
+
 def test_time_reversal():
     model = build_model("I")
     state = sample_initial(model, 0, WindowConfig(), np.random.default_rng(4))
@@ -295,8 +411,10 @@ def test_run_ensemble_worker_invariance():
         assert np.array_equal(base.data, other.data)
 
 
-@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("workers", [1, 2, 3])
 def test_fan_out_error_names_absolute_trajectory(workers):
+    """The error names the earliest time, then the lowest trajectory, then
+    its lowest variable, at any worker count."""
     model = build_model("I")
     Y0 = _sample_starts(model, 6, 0, 5, WindowConfig())
     Y0[4, 0] = 1e200   # overflows within the first recording interval
@@ -304,6 +422,24 @@ def test_fan_out_error_names_absolute_trajectory(workers):
         _map_chunks(_propagate_chunk, Y0, workers,
                     model, IntegratorConfig(0.05), 2.0, 1.0, GAMMA)
     assert err.value.trajectory == 4
+    # trajectory 1 (amplified 50x) overflows by t = 2, trajectory 5 by t = 1;
+    # amplified 100x, both overflow by t = 1
+    for factor, t, trajectory in [(50.0, 1.0, 5), (100.0, 1.0, 1)]:
+        Y0 = _sample_starts(model, 6, 0, 5, WindowConfig())
+        Y0[1, :4] *= factor
+        Y0[5, 0] = 1e200
+        with pytest.raises(IntegrationError) as err:
+            _map_chunks(_propagate_chunk, Y0, workers,
+                        model, IntegratorConfig(0.05), 10.0, 1.0, GAMMA)
+        assert (err.value.t, err.value.trajectory, err.value.variable) == (t, trajectory, "x_e[0]")
+    # no modes, no coupling: trajectory 0 fails only in state 1, trajectory 1
+    # only in state 0, both by t = 1
+    none = SiteExcitonModel("none", [[0.1, 0.0], [0.0, 0.2]], [[], []])
+    Y0 = np.ones((2, none.dim))
+    Y0[0, 3] = Y0[1, 2] = np.inf
+    with pytest.raises(IntegrationError) as err:
+        _map_chunks(_propagate_chunk, Y0, workers, none, IntegratorConfig(0.05), 2.0, 1.0, GAMMA)
+    assert (err.value.t, err.value.trajectory, err.value.variable) == (1.0, 0, "x_e[1]")
 
 
 def test_run_ensemble_rejects_zero_trajectories():
