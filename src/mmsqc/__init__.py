@@ -5,62 +5,22 @@ Units: energies in eV, time in fs, hbar = 0.6582119569 eV fs. Electronic mapping
 variables and nuclear oscillator coordinates are dimensionless.
 """
 
-from mmsqc.models import (
-    Mode,
-    SiteExcitonModel,
-    DebyeBathSpec,
-    build_model,
-    discretize_debye,
-)
-from mmsqc.sqc import (
-    WindowConfig,
-    IntegratorConfig,
-    PhaseSpaceState,
-    Trajectory,
-    TrajectoryEnsemble,
-    PopulationSeries,
-    mm_energy,
-    eom,
-    action,
-    window_assign,
-    sample_initial,
-    propagate,
-    run_ensemble,
-    populations,
-)
-from mmsqc.dataset import SequenceDataset, vectorize, split_sequences, build_dataset
-from mmsqc.surrogate import LstmParams, TrainConfig, TrainReport, train
-from mmsqc.analysis import RolloutConfig, rollout_trajectory, rollout_ensemble
+from mmsqc.models import build_model
+from mmsqc.sqc import IntegratorConfig, run_ensemble, populations
+from mmsqc.dataset import build_dataset
+from mmsqc.surrogate import TrainConfig, train
+from mmsqc.analysis import RolloutConfig, rollout_ensemble
 
+# exactly the names of README's library example; import the rest from
+# their modules (mmsqc.sqc, mmsqc.surrogate, ...)
 __all__ = [
-    "Mode",
-    "SiteExcitonModel",
-    "DebyeBathSpec",
     "build_model",
-    "discretize_debye",
-    "WindowConfig",
     "IntegratorConfig",
-    "PhaseSpaceState",
-    "Trajectory",
-    "TrajectoryEnsemble",
-    "PopulationSeries",
-    "mm_energy",
-    "eom",
-    "action",
-    "window_assign",
-    "sample_initial",
-    "propagate",
     "run_ensemble",
     "populations",
-    "SequenceDataset",
-    "vectorize",
-    "split_sequences",
     "build_dataset",
-    "LstmParams",
     "TrainConfig",
-    "TrainReport",
     "train",
     "RolloutConfig",
-    "rollout_trajectory",
     "rollout_ensemble",
 ]

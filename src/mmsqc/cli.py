@@ -90,7 +90,7 @@ def cmd_simulate(args, config) -> int:
     n_traj = _require(get("ntraj", None, int, positive=True), "ntraj")
     t_end = _require(get("t-end", None, float, positive=True), "t-end")
     record_dt = get("record-dt", 1.0, float, positive=True)
-    dt = get("dt", 0.01, float, positive=True)
+    dt = get("dt", sqc.IntegratorConfig.dt_internal, float, positive=True)
     seed = get("seed", 0, int)
     workers = get("workers", 1, int, positive=True, env="MMSQC_WORKERS")
     init_state = _init_state_index(get("init-state", 1, int), model)
@@ -132,10 +132,10 @@ def cmd_dataset(args, config) -> int:
 def cmd_train(args, config) -> int:
     get = functools.partial(_resolve, args, config, "train")
     source = _require(get("dataset", None, str), "dataset")
-    hidden = get("hidden", 2000, int, positive=True)
-    lr = get("lr", 1e-5, float)
-    batch = get("batch", 50, int, positive=True)
-    epochs = get("epochs", 2000, int, positive=True)
+    hidden = get("hidden", surrogate.TrainConfig.hidden, int, positive=True)
+    lr = get("lr", surrogate.TrainConfig.learning_rate, float)
+    batch = get("batch", surrogate.TrainConfig.batch_size, int, positive=True)
+    epochs = get("epochs", surrogate.TrainConfig.epochs, int, positive=True)
     seed = get("seed", 0, int)
     out = _require(get("out", None, str), "out")
     loss_csv = get("loss-csv", None, str)
@@ -147,8 +147,11 @@ def cmd_train(args, config) -> int:
                                 learning_rate=lr, batch_size=batch,
                                 epochs=epochs, seed=seed)
     every = max(1, epochs // 20)
-    progress = (lambda e, tr, va: print(f"epoch {e + 1}/{epochs}  train {tr:.3e}  val {va:.3e}")
-                if (e + 1) % every == 0 else None)
+
+    def progress(e, tr, va):   # on stderr, so stdout keeps only the summary
+        if (e + 1) % every == 0:
+            print(f"epoch {e + 1}/{epochs}  train {tr:.3e}  val {va:.3e}", file=sys.stderr)
+
     params, report = surrogate.train(data, cfg, progress=progress)
     run_config = _run_config("train", dataset=os.path.basename(source), hidden=hidden,
                              lr=lr, batch=batch, epochs=epochs, seed=seed)
@@ -169,7 +172,7 @@ def cmd_rollout(args, config) -> int:
     ckpt_path = _require(get("checkpoint", None, str), "checkpoint")
     n_traj = _require(get("ntraj", None, int, positive=True), "ntraj")
     steps = _require(get("steps", None, int, positive=True), "steps")
-    record_dt = get("record-dt", 1.0, float, positive=True)
+    record_dt = get("record-dt", analysis.RolloutConfig.record_dt, float, positive=True)
     seed = get("seed", 0, int)
     workers = get("workers", 1, int, positive=True, env="MMSQC_WORKERS")
     init_state = _init_state_index(get("init-state", 1, int), model)
@@ -254,7 +257,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ntraj", type=int)
     p.add_argument("--t-end", type=float, help="propagation time in fs")
     p.add_argument("--record-dt", type=float, help="recording interval in fs (default 1)")
-    p.add_argument("--dt", type=float, help="integrator step in fs (default 0.01)")
+    p.add_argument("--dt", type=float,
+                   help=f"integrator step in fs (default {sqc.IntegratorConfig.dt_internal:g})")
     p.add_argument("--init-state", type=int, help="initially excited state, 1-based (default 1)")
     p.add_argument("--seed", type=int)
     p.add_argument("--workers", type=int)
@@ -270,10 +274,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train the one-to-many LSTM")
     p.add_argument("--dataset")
-    p.add_argument("--hidden", type=int, help="LSTM width (default 2000)")
-    p.add_argument("--lr", type=float, help="learning rate (default 1e-5)")
-    p.add_argument("--batch", type=int, help="batch size (default 50)")
-    p.add_argument("--epochs", type=int, help="training epochs (default 2000)")
+    p.add_argument("--hidden", type=int,
+                   help=f"LSTM width (default {surrogate.TrainConfig.hidden})")
+    p.add_argument("--lr", type=float,
+                   help=f"learning rate (default {surrogate.TrainConfig.learning_rate:g})")
+    p.add_argument("--batch", type=int,
+                   help=f"batch size (default {surrogate.TrainConfig.batch_size})")
+    p.add_argument("--epochs", type=int,
+                   help=f"training epochs (default {surrogate.TrainConfig.epochs})")
     p.add_argument("--seed", type=int)
     p.add_argument("--out", help="checkpoint path")
     p.add_argument("--loss-csv", help="optional per-epoch loss history CSV")
@@ -284,7 +292,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint")
     p.add_argument("--ntraj", type=int)
     p.add_argument("--steps", type=int, help="predicted steps on the record grid")
-    p.add_argument("--record-dt", type=float)
+    p.add_argument("--record-dt", type=float,
+                   help=f"recording interval in fs (default {analysis.RolloutConfig.record_dt:g})")
     p.add_argument("--init-state", type=int)
     p.add_argument("--seed", type=int)
     p.add_argument("--workers", type=int)

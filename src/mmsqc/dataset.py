@@ -11,19 +11,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from mmsqc import arrayio
-from mmsqc.sqc import (
-    PhaseSpaceState,
-    STATE_ORDERING,
-    Trajectory,
-    TrajectoryEnsemble,
-    pack_state,
-)
+from mmsqc.sqc import STATE_ORDERING, Trajectory, TrajectoryEnsemble
 from mmsqc.streams import substream
-
-
-def vectorize(state: PhaseSpaceState) -> np.ndarray:
-    """Flatten a phase-space state into the canonical x_e|p_e|Q|P vector."""
-    return pack_state(state)
 
 
 def split_sequences(traj: Trajectory, seq_len: int) -> np.ndarray:

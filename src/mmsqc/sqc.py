@@ -94,12 +94,11 @@ def unpack_state(vec, n_states: int, t: float = 0.0) -> PhaseSpaceState:
 class IntegrationError(RuntimeError):
     """Non-finite value hit during propagation."""
 
-    def __init__(self, t: float, variable: str, trajectory: int | None = None):
+    def __init__(self, t: float, variable: str, trajectory: int):
         self.t = t
         self.variable = variable
         self.trajectory = trajectory
-        where = f" in trajectory {trajectory}" if trajectory is not None else ""
-        super().__init__(f"non-finite {variable} at t = {t:g} fs{where}")
+        super().__init__(f"non-finite {variable} at t = {t:g} fs in trajectory {trajectory}")
 
     def __reduce__(self):
         return (IntegrationError, (self.t, self.variable, self.trajectory))
@@ -441,9 +440,11 @@ def _grid_steps(total: float, step: float, what: str) -> int:
     return n
 
 
-def _propagate_batch(model: SiteExcitonModel, Y0: np.ndarray, icfg: IntegratorConfig,
-                     t_end: float, record_dt: float, gamma: float) -> np.ndarray:
-    """Fixed-step RK4 on a (n, dim) batch; returns (n, n_records, dim)."""
+def _propagate_batch(Y0: np.ndarray, offset: int, model: SiteExcitonModel,
+                     icfg: IntegratorConfig, t_end: float, record_dt: float,
+                     gamma: float) -> np.ndarray:
+    """Fixed-step RK4 on a (n, dim) batch; returns (n, n_records, dim).
+    Row r is absolute trajectory `offset` + r in error messages."""
     n_rec = _grid_steps(t_end, record_dt, "t_end") + 1
     n_sub = _grid_steps(record_dt, icfg.dt_internal, "record_dt")
     h = record_dt / n_sub
@@ -480,7 +481,7 @@ def _propagate_batch(model: SiteExcitonModel, Y0: np.ndarray, icfg: IntegratorCo
                 row, var = np.argwhere(~np.isfinite(Y.T))[0]
                 raise IntegrationError(rec * record_dt,
                                        _variable_name(model, int(var)),
-                                       trajectory=int(row))
+                                       offset + int(row))
             out[:, rec] = Y.T
     return out
 
@@ -490,7 +491,7 @@ def propagate(model: SiteExcitonModel, state: PhaseSpaceState,
               window: WindowConfig = WindowConfig()) -> Trajectory:
     """Integrate one trajectory, recording every record_dt (t = 0 included)."""
     _check_dims(model, state)
-    batch = _propagate_batch(model, pack_state(state)[None, :], icfg,
+    batch = _propagate_batch(pack_state(state)[None, :], 0, model, icfg,
                              t_end, record_dt, window.gamma)
     return Trajectory(record_dt, batch[0], model.n_states)
 
@@ -534,16 +535,6 @@ def _map_chunks(work, starts: np.ndarray, workers: int, *args,
     return np.concatenate([fut.result() for fut in futures])
 
 
-def _propagate_chunk(Y0: np.ndarray, offset: int, model: SiteExcitonModel,
-                     icfg: IntegratorConfig, t_end: float, record_dt: float,
-                     gamma: float) -> np.ndarray:
-    try:
-        return _propagate_batch(model, Y0, icfg, t_end, record_dt, gamma)
-    except IntegrationError as exc:
-        raise IntegrationError(exc.t, exc.variable,
-                               trajectory=offset + (exc.trajectory or 0)) from None
-
-
 def run_ensemble(model: SiteExcitonModel, n_traj: int, init_state: int, seed: int,
                  icfg: IntegratorConfig, t_end: float, record_dt: float,
                  window: WindowConfig = WindowConfig(),
@@ -558,7 +549,7 @@ def run_ensemble(model: SiteExcitonModel, n_traj: int, init_state: int, seed: in
         raise ValueError("n_traj must be at least 1")
     _grid_steps(t_end, record_dt, "t_end")   # fail before starting workers
     Y0 = _sample_starts(model, n_traj, init_state, seed, window)
-    data = _map_chunks(_propagate_chunk, Y0, workers,
+    data = _map_chunks(_propagate_batch, Y0, workers,
                        model, icfg, t_end, record_dt, window.gamma)
     return TrajectoryEnsemble(record_dt, data, model.n_states,
                               model_label=model.label, seed=seed)

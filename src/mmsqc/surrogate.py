@@ -68,9 +68,6 @@ class LstmParams:
         # pickle the vector once; the views are rebuilt on the other side
         return (LstmParams, (self.flat, self.dim, self.hidden))
 
-    def tensors(self):
-        return [(name, getattr(self, name)) for name in TENSOR_FIELDS]
-
     def copy(self) -> "LstmParams":
         return LstmParams(self.flat.copy(), self.dim, self.hidden)
 
@@ -135,17 +132,58 @@ def _unroll(params: LstmParams, x0: np.ndarray, out: np.ndarray,
     return x
 
 
-def _forward(params: LstmParams, x0: np.ndarray, seq_len: int):
-    """Unrolled batch forward for training; x0 is (B, D). Returns
-    ((B, L-1, D), caches)."""
-    ys = np.empty((x0.shape[0], seq_len - 1, params.dim))
+# ---------------------------------------------------------------------------
+# public operations
+
+
+def one_to_many_forward(x0, seq_len: int, params: LstmParams):
+    """Unroll the network from a single input: y_1 .. y_{L-1}.
+
+    x0 is (D,) or (B, D); outputs are (L-1, D) or (B, L-1, D), plus the
+    per-step caches that `backward` needs. Step 1 consumes x0, later steps
+    consume the previous read-out; h and c start at zero.
+    """
+    if seq_len < 2:
+        raise ValueError("seq_len must be at least 2")
+    x = np.asarray(x0, dtype=float)
+    if x.shape[-1] != params.dim:
+        raise ValueError(f"input dimension {x.shape[-1]} does not match D={params.dim}")
+    single = x.ndim == 1
+    if single:
+        x = x[None]
+    ys = np.empty((x.shape[0], seq_len - 1, params.dim))
     caches = []
-    _unroll(params, x0, ys, caches)
-    return ys, caches
+    _unroll(params, x, ys, caches)
+    return (ys[0] if single else ys), caches
 
 
-def _backward(params: LstmParams, caches: list, dY: np.ndarray) -> LstmParams:
-    """Gradients for a batched (B, steps, D) loss gradient; sums over batch."""
+def sequence_loss(pred, target) -> float:
+    """Mean squared error over every predicted component."""
+    pred = np.asarray(pred, dtype=float)
+    target = np.asarray(target, dtype=float)
+    if pred.shape != target.shape:
+        raise ValueError(f"prediction shape {pred.shape} != target shape {target.shape}")
+    diff = pred - target
+    return float(np.mean(diff * diff))
+
+
+def backward(caches: list, loss_grads, params: LstmParams) -> LstmParams:
+    """Exact gradients of the unrolled network w.r.t. every parameter.
+
+    `loss_grads` is dLoss/dy per step, same shape as the forward outputs.
+    Gradients flowing through fed-back outputs are included. Batched inputs
+    accumulate (sum) over the batch.
+    """
+    dY = np.asarray(loss_grads, dtype=float)
+    if not caches:
+        raise ValueError("no forward caches supplied")
+    if dY.ndim == 2:
+        dY = dY[None]
+    if dY.ndim != 3 or dY.shape[1] != len(caches):
+        raise ValueError(
+            f"loss_grads shape {loss_grads.shape if hasattr(loss_grads, 'shape') else '?'} "
+            f"does not match {len(caches)} cached steps"
+        )
     B, steps, _ = dY.shape
     H = params.hidden
     grads = LstmParams.zeros(params.dim, H)
@@ -182,77 +220,6 @@ def _backward(params: LstmParams, caches: list, dY: np.ndarray) -> LstmParams:
         dh_next = dz @ params.U4
 
     return grads
-
-
-# ---------------------------------------------------------------------------
-# public operations
-
-
-def cell_forward(x, h, c, params: LstmParams):
-    """One LSTM cell step. Accepts (D,)/(H,) vectors or (B, .) batches;
-    returns (h', c', cache) with the intermediates needed for BPTT."""
-    x = np.asarray(x, dtype=float)
-    h = np.asarray(h, dtype=float)
-    c = np.asarray(c, dtype=float)
-    if x.shape[-1] != params.dim or h.shape[-1] != params.hidden or c.shape[-1] != params.hidden:
-        raise ValueError(
-            f"cell input shapes {x.shape}/{h.shape}/{c.shape} do not match "
-            f"D={params.dim}, H={params.hidden}"
-        )
-    single = x.ndim == 1
-    if single:
-        x, h, c = x[None], h[None], c[None]
-    h_new, c_new, cache = _cell(params, x, h, c)
-    if single:
-        return h_new[0], c_new[0], cache
-    return h_new, c_new, cache
-
-
-def one_to_many_forward(x0, seq_len: int, params: LstmParams):
-    """Unroll the network from a single input: y_1 .. y_{L-1}.
-
-    x0 is (D,) or (B, D); outputs are (L-1, D) or (B, L-1, D). Step 1
-    consumes x0, later steps consume the previous read-out; h and c start
-    at zero.
-    """
-    if seq_len < 2:
-        raise ValueError("seq_len must be at least 2")
-    x = np.asarray(x0, dtype=float)
-    if x.shape[-1] != params.dim:
-        raise ValueError(f"input dimension {x.shape[-1]} does not match D={params.dim}")
-    single = x.ndim == 1
-    ys, caches = _forward(params, x[None] if single else x, seq_len)
-    return (ys[0] if single else ys), caches
-
-
-def sequence_loss(pred, target) -> float:
-    """Mean squared error over every predicted component."""
-    pred = np.asarray(pred, dtype=float)
-    target = np.asarray(target, dtype=float)
-    if pred.shape != target.shape:
-        raise ValueError(f"prediction shape {pred.shape} != target shape {target.shape}")
-    diff = pred - target
-    return float(np.mean(diff * diff))
-
-
-def backward(caches: list, loss_grads, params: LstmParams) -> LstmParams:
-    """Exact gradients of the unrolled network w.r.t. every parameter.
-
-    `loss_grads` is dLoss/dy per step, same shape as the forward outputs.
-    Gradients flowing through fed-back outputs are included. Batched inputs
-    accumulate (sum) over the batch.
-    """
-    dY = np.asarray(loss_grads, dtype=float)
-    if not caches:
-        raise ValueError("no forward caches supplied")
-    if dY.ndim == 2:
-        dY = dY[None]
-    if dY.ndim != 3 or dY.shape[1] != len(caches):
-        raise ValueError(
-            f"loss_grads shape {loss_grads.shape if hasattr(loss_grads, 'shape') else '?'} "
-            f"does not match {len(caches)} cached steps"
-        )
-    return _backward(params, caches, dY)
 
 
 # ---------------------------------------------------------------------------
@@ -371,13 +338,13 @@ def train(dataset: SequenceDataset, cfg: TrainConfig,
         epoch_sq = 0.0
         for batch_no, start in enumerate(range(0, dataset.n_train, cfg.batch_size)):
             seqs = dataset.train[order[start:start + cfg.batch_size]]
-            ys, caches = _forward(params, seqs[:, 0, :], cfg.seq_len)
+            ys, caches = one_to_many_forward(seqs[:, 0, :], cfg.seq_len, params)
             targets = seqs[:, 1:, :]
             loss = sequence_loss(ys, targets)
             if not np.isfinite(loss):
                 raise TrainDivergedError(epoch, batch_no)
             dY = (2.0 / ys.size) * (ys - targets)
-            grads = _backward(params, caches, dY)
+            grads = backward(caches, dY, params)
             params, adam = adam_step(params, grads, adam, cfg.learning_rate,
                                      cfg.beta1, cfg.beta2, cfg.eps)
             epoch_sq += loss * seqs.shape[0]

@@ -4,10 +4,11 @@ import json
 import numpy as np
 import pytest
 
+from mmsqc.analysis import RolloutConfig
 from mmsqc.cli import main
 from mmsqc.dataset import SequenceDataset
 from mmsqc.models import build_model, load_model
-from mmsqc.sqc import TrajectoryEnsemble
+from mmsqc.sqc import IntegratorConfig, TrajectoryEnsemble
 from mmsqc.surrogate import load_checkpoint
 
 
@@ -134,6 +135,29 @@ def test_train_outputs(tiny_pipeline):
     assert len(rows) == 3
     assert float(rows[1][1]) > 0 and float(rows[2][2]) > 0
     assert np.isclose(float(rows[2][2]), header["val_loss"][1])
+
+
+def test_train_progress_goes_to_stderr(tiny_pipeline, capsys):
+    tmp_path, paths = tiny_pipeline
+    capsys.readouterr()
+    out = tmp_path / "again.ckpt"
+    assert run("train", "--dataset", paths["data"], "--hidden", 8, "--lr", "1e-3",
+               "--batch", 8, "--epochs", 3, "--seed", 3, "--out", out) == 0
+    printed = capsys.readouterr()
+    summary = printed.out.splitlines()
+    assert len(summary) == 1 and summary[0].startswith("best epoch") and str(out) in summary[0]
+    progress = printed.err.splitlines()
+    assert [line.split()[:2] for line in progress] == [["epoch", f"{e}/3"] for e in (1, 2, 3)]
+
+
+def test_defaults_come_from_the_configs(tiny_pipeline):
+    """Flags left out take the library configs' defaults."""
+    tmp_path, paths = tiny_pipeline
+    out = tmp_path / "dt.traj"
+    assert run("simulate", "--model", "I", "--ntraj", 1, "--t-end", 1, "--out", out) == 0
+    header = json.loads(out.read_bytes().split(b"\n", 1)[0])
+    assert header["run_config"]["dt"] == IntegratorConfig.dt_internal
+    assert TrajectoryEnsemble.load(str(paths["pred"])).record_dt == RolloutConfig.record_dt
 
 
 def test_rollout_outputs_and_determinism(tiny_pipeline, tmp_path):

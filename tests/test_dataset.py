@@ -7,7 +7,6 @@ from mmsqc.dataset import (
     build_dataset,
     partition,
     split_sequences,
-    vectorize,
 )
 from mmsqc.models import build_model
 from mmsqc.sqc import (
@@ -16,6 +15,7 @@ from mmsqc.sqc import (
     Trajectory,
     TrajectoryEnsemble,
     WindowConfig,
+    pack_state,
     run_ensemble,
     sample_initial,
 )
@@ -28,16 +28,16 @@ def synthetic_trajectory(n_records, dim=6, n_states=1, seed=0):
 
 def test_vectorize_dimensions_and_ordering():
     s1 = sample_initial(build_model("I"), 0, WindowConfig(), np.random.default_rng(0))
-    assert vectorize(s1).shape == (36,)
+    assert pack_state(s1).shape == (36,)
     s3 = sample_initial(build_model("III"), 0, WindowConfig(), np.random.default_rng(0))
-    assert vectorize(s3).shape == (54,)
+    assert pack_state(s3).shape == (54,)
 
     marked = PhaseSpaceState(np.array([1.0, 2.0]), np.array([3.0, 4.0]),
                              np.array([5.0]), np.array([6.0]))
-    assert np.array_equal(vectorize(marked), [1, 2, 3, 4, 5, 6])
+    assert np.array_equal(pack_state(marked), [1, 2, 3, 4, 5, 6])
 
     zero = PhaseSpaceState(np.zeros(2), np.zeros(2), np.zeros(16), np.zeros(16))
-    assert np.array_equal(vectorize(zero), np.zeros(36))
+    assert np.array_equal(pack_state(zero), np.zeros(36))
 
 
 def test_split_sequence_counts():

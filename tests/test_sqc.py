@@ -26,7 +26,7 @@ from mmsqc.sqc import (
     ensemble_energies,
     _Hamiltonian,
     _map_chunks,
-    _propagate_chunk,
+    _propagate_batch,
     _sample_starts,
     _tree_sum_rows,
 )
@@ -419,7 +419,7 @@ def test_fan_out_error_names_absolute_trajectory(workers):
     Y0 = _sample_starts(model, 6, 0, 5, WindowConfig())
     Y0[4, 0] = 1e200   # overflows within the first recording interval
     with pytest.raises(IntegrationError) as err:
-        _map_chunks(_propagate_chunk, Y0, workers,
+        _map_chunks(_propagate_batch, Y0, workers,
                     model, IntegratorConfig(0.05), 2.0, 1.0, GAMMA)
     assert err.value.trajectory == 4
     # trajectory 1 (amplified 50x) overflows by t = 2, trajectory 5 by t = 1;
@@ -429,7 +429,7 @@ def test_fan_out_error_names_absolute_trajectory(workers):
         Y0[1, :4] *= factor
         Y0[5, 0] = 1e200
         with pytest.raises(IntegrationError) as err:
-            _map_chunks(_propagate_chunk, Y0, workers,
+            _map_chunks(_propagate_batch, Y0, workers,
                         model, IntegratorConfig(0.05), 10.0, 1.0, GAMMA)
         assert (err.value.t, err.value.trajectory, err.value.variable) == (t, trajectory, "x_e[0]")
     # no modes, no coupling: trajectory 0 fails only in state 1, trajectory 1
@@ -438,7 +438,7 @@ def test_fan_out_error_names_absolute_trajectory(workers):
     Y0 = np.ones((2, none.dim))
     Y0[0, 3] = Y0[1, 2] = np.inf
     with pytest.raises(IntegrationError) as err:
-        _map_chunks(_propagate_chunk, Y0, workers, none, IntegratorConfig(0.05), 2.0, 1.0, GAMMA)
+        _map_chunks(_propagate_batch, Y0, workers, none, IntegratorConfig(0.05), 2.0, 1.0, GAMMA)
     assert (err.value.t, err.value.trajectory, err.value.variable) == (1.0, 0, "x_e[1]")
 
 

@@ -9,13 +9,14 @@ from mmsqc import arrayio
 from mmsqc.dataset import SequenceDataset
 from mmsqc.streams import substream
 from mmsqc.surrogate import (
+    TENSOR_FIELDS,
     AdamState,
     LstmParams,
     TrainConfig,
     TrainDivergedError,
+    _cell,
     adam_step,
     backward,
-    cell_forward,
     evaluate_loss,
     init_params,
     load_checkpoint,
@@ -27,7 +28,14 @@ from mmsqc.surrogate import (
 
 
 def params_equal(a: LstmParams, b: LstmParams) -> bool:
-    return all(np.array_equal(getattr(a, n), getattr(b, n)) for n, _ in a.tensors())
+    return all(np.array_equal(getattr(a, n), getattr(b, n)) for n in TENSOR_FIELDS)
+
+
+def cell_row(x, h, c, params: LstmParams):
+    """One cell step on single vectors, run as a (1, .) batch."""
+    h_new, c_new, _ = _cell(params, np.asarray(x)[None], np.asarray(h)[None],
+                            np.asarray(c)[None])
+    return h_new[0], c_new[0]
 
 
 def random_params(dim, hidden, seed):
@@ -40,7 +48,7 @@ def random_params(dim, hidden, seed):
 
 def test_cell_zero_everything():
     params = LstmParams.zeros(3, 4)
-    h, c, _ = cell_forward(np.zeros(3), np.zeros(4), np.zeros(4), params)
+    h, c = cell_row(np.zeros(3), np.zeros(4), np.zeros(4), params)
     assert np.array_equal(h, np.zeros(4))
     assert np.array_equal(c, np.zeros(4))
 
@@ -51,7 +59,7 @@ def test_cell_gate_saturation_keeps_cell_state():
     params.b_f[:] = 60.0
     params.b_i[:] = -60.0
     c0 = np.array([0.3, -1.2, 0.0, 2.5])
-    _, c1, _ = cell_forward(np.zeros(3), np.zeros(4), c0, params)
+    _, c1 = cell_row(np.zeros(3), np.zeros(4), c0, params)
     assert np.max(np.abs(c1 - c0)) < 1e-12
 
 
@@ -75,7 +83,7 @@ def test_cell_matches_scalar_reimplementation():
     c_ref = f * c + i * g
     h_ref = o * np.tanh(c_ref)
 
-    h_new, c_new, _ = cell_forward(x, h, c, params)
+    h_new, c_new = cell_row(x, h, c, params)
     assert np.max(np.abs(h_new - h_ref)) < 1e-12
     assert np.max(np.abs(c_new - c_ref)) < 1e-12
 
@@ -83,7 +91,7 @@ def test_cell_matches_scalar_reimplementation():
 def test_cell_shape_mismatch():
     params = LstmParams.zeros(3, 4)
     with pytest.raises(ValueError):
-        cell_forward(np.zeros(2), np.zeros(4), np.zeros(4), params)
+        cell_row(np.zeros(2), np.zeros(4), np.zeros(4), params)
 
 
 # ---------------------------------------------------------------------------
@@ -156,8 +164,9 @@ def test_backward_zero_loss_gradient():
     params = random_params(4, 6, 11)
     ys, caches = one_to_many_forward(np.ones(4), 5, params)
     grads = backward(caches, np.zeros_like(ys), params)
-    for _, arr in grads.tensors():
-        assert np.array_equal(arr, np.zeros_like(arr))
+    for name in TENSOR_FIELDS:
+        arr = getattr(grads, name)
+        assert np.array_equal(arr, np.zeros_like(arr)), name
 
 
 def test_backward_finite_differences():
@@ -171,7 +180,8 @@ def test_backward_finite_differences():
     grads = backward(caches, (2.0 / ys.size) * (ys - target), params)
 
     step = 1e-5
-    for name, arr in params.tensors():
+    for name in TENSOR_FIELDS:
+        arr = getattr(params, name)
         numeric = np.zeros_like(arr)
         it = np.nditer(arr, flags=["multi_index"])
         for _ in it:
@@ -225,12 +235,13 @@ def test_adam_first_step_is_signed_learning_rate():
     params = LstmParams.zeros(3, 4)
     grads = LstmParams.zeros(3, 4)
     rng = np.random.default_rng(6)
-    for _, arr in grads.tensors():
+    for name in TENSOR_FIELDS:
+        arr = getattr(grads, name)
         arr[...] = rng.normal(size=arr.shape)
     new, _ = adam_step(params, grads, AdamState.zeros(3, 4), lr=1e-3)
-    for name, arr in new.tensors():
+    for name in TENSOR_FIELDS:
         g = getattr(grads, name)
-        assert np.allclose(arr, -1e-3 * np.sign(g), atol=1e-6)
+        assert np.allclose(getattr(new, name), -1e-3 * np.sign(g), atol=1e-6)
 
 
 def test_adam_determinism():
@@ -267,9 +278,9 @@ def test_flat_vector_views_checkpoint_and_adam(tmp_path_factory, dim, hidden, se
     H = hidden
 
     # every name is a view into `flat`, which is laid out in checkpoint order
-    for name, arr in params.tensors():
-        assert np.shares_memory(arr, params.flat), name
-    assert np.array_equal(np.concatenate([a.ravel() for _, a in params.tensors()]),
+    for name in TENSOR_FIELDS:
+        assert np.shares_memory(getattr(params, name), params.flat), name
+    assert np.array_equal(np.concatenate([getattr(params, n).ravel() for n in TENSOR_FIELDS]),
                           params.flat)
     values = rng.normal(size=(H, dim))
     params.W_f[...] = values
@@ -277,7 +288,7 @@ def test_flat_vector_views_checkpoint_and_adam(tmp_path_factory, dim, hidden, se
     # pickling, as for worker processes, keeps one vector behind the names
     clone = pickle.loads(pickle.dumps(params))
     assert np.array_equal(clone.flat, params.flat)
-    assert all(np.shares_memory(a, clone.flat) for _, a in clone.tensors())
+    assert all(np.shares_memory(getattr(clone, n), clone.flat) for n in TENSOR_FIELDS)
 
     path = tmp_path_factory.mktemp("ckpt") / "p.ckpt"
     save_checkpoint(str(path), params, TrainConfig(seq_len=3, hidden=hidden, epochs=1))
@@ -286,18 +297,18 @@ def test_flat_vector_views_checkpoint_and_adam(tmp_path_factory, dim, hidden, se
     loaded, _ = load_checkpoint(str(path))
     assert loaded.flat.tobytes() == params.flat.tobytes()
 
-    ref = {name: arr.copy() for name, arr in params.tensors()}
+    ref = {name: getattr(params, name).copy() for name in TENSOR_FIELDS}
     m = {name: np.zeros_like(arr) for name, arr in ref.items()}
     v = {name: np.zeros_like(arr) for name, arr in ref.items()}
     state = AdamState.zeros(dim, hidden)
     grads = LstmParams.zeros(dim, hidden)
     for step in range(3):
         grads.flat[:] = rng.normal(size=grads.flat.size)
-        reference_adam(ref, {n: a.copy() for n, a in grads.tensors()}, m, v, step, lr)
+        reference_adam(ref, {n: getattr(grads, n).copy() for n in TENSOR_FIELDS}, m, v, step, lr)
         params, state = adam_step(params, grads, state, lr)
     assert state.step == 3
-    for name, arr in params.tensors():
-        assert arr.tobytes() == ref[name].tobytes(), name
+    for name in TENSOR_FIELDS:
+        assert getattr(params, name).tobytes() == ref[name].tobytes(), name
 
 
 # ---------------------------------------------------------------------------
