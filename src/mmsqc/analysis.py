@@ -13,7 +13,6 @@ from mmsqc.sqc import (
     PopulationSeries,
     Trajectory,
     TrajectoryEnsemble,
-    WindowConfig,
     _map_chunks,
     _sample_starts,
     populations,
@@ -100,8 +99,7 @@ def _rollout_chunk(starts: np.ndarray, offset: int, params: LstmParams,
 
 
 def rollout_ensemble(model: SiteExcitonModel, params: LstmParams,
-                     cfg: RolloutConfig,
-                     window: WindowConfig = WindowConfig()) -> TrajectoryEnsemble:
+                     cfg: RolloutConfig) -> TrajectoryEnsemble:
     """Sample cfg.n_traj fresh initial conditions and replay each with the
     network. Initial draws use the same (seed, "sampling", i) streams as
     direct dynamics, so a reference ensemble with the same seed starts from
@@ -112,7 +110,7 @@ def rollout_ensemble(model: SiteExcitonModel, params: LstmParams,
             f"checkpoint dimension {params.dim} does not match model "
             f"{model.label} dimension {model.dim}"
         )
-    starts = _sample_starts(model, cfg.n_traj, cfg.init_state, cfg.seed, window)
+    starts = _sample_starts(model, cfg.n_traj, cfg.init_state, cfg.seed)
     data = _map_chunks(_rollout_chunk, starts, cfg.workers,
                        params, cfg.total_steps, cfg.seq_len, grain=BLOCK)
     return TrajectoryEnsemble(cfg.record_dt, data, model.n_states,
@@ -145,12 +143,11 @@ def _check_same_grid(a: TrajectoryEnsemble, b: TrajectoryEnsemble) -> None:
                          f"{a.model_label} vs {b.model_label}")
 
 
-def compare_populations(pred: TrajectoryEnsemble, ref: TrajectoryEnsemble,
-                        window: WindowConfig = WindowConfig()) -> PopulationDeviation:
+def compare_populations(pred: TrajectoryEnsemble, ref: TrajectoryEnsemble) -> PopulationDeviation:
     """Window-bin both ensembles and report per-state |P_pred - P_ref| stats."""
     _check_same_grid(pred, ref)
-    pop_pred = populations(pred, window)
-    pop_ref = populations(ref, window)
+    pop_pred = populations(pred)
+    pop_ref = populations(ref)
     both = pop_pred.defined & pop_ref.defined
     if not np.any(both):
         raise ValueError("populations undefined at every time point")
@@ -208,10 +205,9 @@ class CoordinateHistogram:
 
 
 def coordinate_histogram(ensemble: TrajectoryEnsemble, variable: int,
-                         bins: int = 50, value_range: tuple[float, float] = (-3.0, 3.0),
-                         slice_times=None) -> CoordinateHistogram:
-    """Histogram one variable over trajectories at each requested time
-    (default: every recorded time)."""
+                         bins: int = 50,
+                         value_range: tuple[float, float] = (-3.0, 3.0)) -> CoordinateHistogram:
+    """Histogram one variable over trajectories at every recorded time."""
     if not 0 <= variable < ensemble.dim:
         raise ValueError(f"variable index {variable} out of range for dim {ensemble.dim}")
     lo, hi = value_range
@@ -219,15 +215,13 @@ def coordinate_histogram(ensemble: TrajectoryEnsemble, variable: int,
         raise ValueError(f"empty histogram range [{lo}, {hi})")
     if bins < 1:
         raise ValueError("need at least one bin")
-    idx = (np.arange(ensemble.n_records) if slice_times is None
-           else _time_indices(ensemble, slice_times))
     edges = np.linspace(lo, hi, bins + 1)
-    density = np.empty((len(idx), bins))
-    for row, i in enumerate(idx):
+    density = np.empty((ensemble.n_records, bins))
+    for i in range(ensemble.n_records):
         counts, _ = np.histogram(ensemble.data[:, i, variable], bins=edges)
         total = counts.sum()
-        density[row] = counts / total if total > 0 else 0.0
-    return CoordinateHistogram(idx * ensemble.record_dt,
+        density[i] = counts / total if total > 0 else 0.0
+    return CoordinateHistogram(ensemble.times,
                                0.5 * (edges[:-1] + edges[1:]), density, variable)
 
 

@@ -15,37 +15,40 @@ from mmsqc.sqc import STATE_ORDERING, Trajectory, TrajectoryEnsemble
 from mmsqc.streams import substream
 
 
-def split_sequences(traj: Trajectory, seq_len: int) -> np.ndarray:
-    """All sliding windows of length seq_len, shape (n - L + 1, L, dim)."""
+def split_sequences(traj: Trajectory | TrajectoryEnsemble, seq_len: int) -> np.ndarray:
+    """All sliding windows of length seq_len as a read-only view of the
+    records: (n - L + 1, L, dim) for a trajectory, and
+    (n_traj, n - L + 1, L, dim) for an ensemble."""
     if seq_len < 2:
         raise ValueError("sequence length must be at least 2")
     n = traj.n_records
     if n < seq_len:
         raise ValueError(f"trajectory has {n} records, need at least {seq_len}")
-    count = n - seq_len + 1
-    return np.stack([traj.data[i:i + seq_len] for i in range(count)])
+    return np.swapaxes(np.lib.stride_tricks.sliding_window_view(traj.data, seq_len, axis=-2),
+                       -1, -2)
 
 
-def partition(per_traj_sequences: list[np.ndarray], split_seed: int) -> tuple[np.ndarray, np.ndarray]:
+def partition(windows, split_seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Random per-trajectory 3:1 split, merged and globally shuffled.
 
-    Validation takes floor(n/4) sequences of each trajectory. Shuffling
-    permutes sequence order only.
+    `windows` is (n_traj, count, L, dim). Validation takes floor(count/4)
+    sequences of each trajectory. The split and the shuffle permute
+    (trajectory, start) ids, and each set is then gathered once.
     """
-    train_parts, val_parts = [], []
-    for i, seqs in enumerate(per_traj_sequences):
-        n = len(seqs)
-        if n < 4:
-            raise ValueError(f"trajectory {i} contributes only {n} sequences; need >= 4 for a 3:1 split")
-        perm = substream(split_seed, "split", i).permutation(n)
-        n_val = n // 4
-        val_parts.append(seqs[perm[:n_val]])
-        train_parts.append(seqs[perm[n_val:]])
-    train = np.concatenate(train_parts)
-    validation = np.concatenate(val_parts)
-    train = train[substream(split_seed, "shuffle", 0).permutation(len(train))]
-    validation = validation[substream(split_seed, "shuffle", 1).permutation(len(validation))]
-    return train, validation
+    windows = np.asarray(windows)
+    n_traj, n = windows.shape[:2]
+    if n < 4:
+        raise ValueError(f"trajectory 0 contributes only {n} sequences; need >= 4 for a 3:1 split")
+    n_val = n // 4
+    starts = np.stack([substream(split_seed, "split", i).permutation(n) for i in range(n_traj)])
+    trajs = np.repeat(np.arange(n_traj)[:, None], n, axis=1)
+
+    def gather(cols: slice, stream: int) -> np.ndarray:
+        t, s = trajs[:, cols].ravel(), starts[:, cols].ravel()
+        order = substream(split_seed, "shuffle", stream).permutation(len(t))
+        return windows[t[order], s[order]]
+
+    return gather(slice(n_val, None), 0), gather(slice(None, n_val), 1)
 
 
 @dataclass
@@ -103,9 +106,7 @@ class SequenceDataset:
 def build_dataset(ensemble: TrajectoryEnsemble, seq_len: int,
                   split_seed: int) -> SequenceDataset:
     """Slice every trajectory into length-L windows and split 3:1."""
-    per_traj = [split_sequences(ensemble.trajectory(i), seq_len)
-                for i in range(ensemble.n_traj)]
-    train, validation = partition(per_traj, split_seed)
+    train, validation = partition(split_sequences(ensemble, seq_len), split_seed)
     return SequenceDataset(seq_len, ensemble.dim, train, validation,
                            source_hash=ensemble.content_hash(),
                            split_seed=split_seed)

@@ -29,17 +29,7 @@ from mmsqc.streams import substream
 
 STATE_ORDERING = "x_e|p_e|Q|P"
 ENERGY_CHUNK = 2048   # recorded states per energy evaluation in ensemble_energies
-
-
-@dataclass(frozen=True)
-class WindowConfig:
-    """Zero-point parameter of the mapping; 1/3 for triangle windows."""
-
-    gamma: float = 1.0 / 3.0
-
-    def __post_init__(self):
-        if not 0.0 < self.gamma < 1.0:
-            raise ValueError(f"gamma must lie in (0, 1), got {self.gamma}")
+GAMMA = 1.0 / 3.0     # zero-point parameter of the mapping, fixed by the triangle windows
 
 
 @dataclass(frozen=True)
@@ -153,9 +143,9 @@ class _Hamiltonian:
     depends on the batch shape. Constants are pre-divided by hbar.
     """
 
-    def __init__(self, model: SiteExcitonModel, gamma: float):
+    def __init__(self, model: SiteExcitonModel):
         ne, nv = model.n_states, model.n_modes
-        self.ne, self.nv, self.gamma = ne, nv, gamma
+        self.ne, self.nv = ne, nv
         v_h = model.v / HBAR_EV_FS
         self.v_diag_h = np.diag(v_h)[:, None]
         off_h = v_h - np.diag(np.diag(v_h))
@@ -182,7 +172,7 @@ class _Hamiltonian:
 
     def _weight(self, xe: np.ndarray, pe: np.ndarray) -> np.ndarray:
         weight = 0.5 * (xe * xe + pe * pe)
-        weight -= self.gamma
+        weight -= GAMMA
         return weight
 
     def _diagonal(self, Y: np.ndarray) -> np.ndarray:
@@ -226,19 +216,17 @@ class _Hamiltonian:
         return energy * HBAR_EV_FS
 
 
-def mm_energy(model: SiteExcitonModel, state: PhaseSpaceState,
-              cfg: WindowConfig = WindowConfig()) -> float:
+def mm_energy(model: SiteExcitonModel, state: PhaseSpaceState) -> float:
     """Mapping-Hamiltonian energy of a single phase-space point (eV)."""
     _check_dims(model, state)
-    return float(_Hamiltonian(model, cfg.gamma)._energy(pack_state(state)[:, None])[0])
+    return float(_Hamiltonian(model)._energy(pack_state(state)[:, None])[0])
 
 
-def eom(model: SiteExcitonModel, state: PhaseSpaceState,
-        cfg: WindowConfig = WindowConfig()):
+def eom(model: SiteExcitonModel, state: PhaseSpaceState):
     """Time derivatives (dx_e, dp_e, dQ, dP) of one state, in 1/fs."""
     _check_dims(model, state)
     Y = pack_state(state)[:, None]
-    dY = _Hamiltonian(model, cfg.gamma)._deriv(Y, np.empty_like(Y))
+    dY = _Hamiltonian(model)._deriv(Y, np.empty_like(Y))
     return _split(dY[:, 0], model.n_states, model.n_modes)
 
 
@@ -259,12 +247,12 @@ def _check_dims(model: SiteExcitonModel, state: PhaseSpaceState) -> None:
 # actions and triangle windows
 
 
-def action(x, p, cfg: WindowConfig = WindowConfig()):
+def action(x, p):
     """Action variable n = (x^2 + p^2)/2 - gamma; elementwise."""
-    return 0.5 * (np.asarray(x, dtype=float)**2 + np.asarray(p, dtype=float)**2) - cfg.gamma
+    return 0.5 * (np.asarray(x, dtype=float)**2 + np.asarray(p, dtype=float)**2) - GAMMA
 
 
-def assign_from_actions(n, cfg: WindowConfig = WindowConfig()) -> np.ndarray:
+def assign_from_actions(n) -> np.ndarray:
     """Triangle-window state assignment from action vectors.
 
     `n` has shape (..., n_states); returns int indices with -1 where no window
@@ -273,25 +261,24 @@ def assign_from_actions(n, cfg: WindowConfig = WindowConfig()) -> np.ndarray:
     generalization beyond two states).
     """
     n = np.asarray(n, dtype=float)
-    gamma = cfg.gamma
     ne = n.shape[-1]
     if ne < 2:
         raise ValueError("window assignment needs at least 2 states")
     assigned = np.full(n.shape[:-1], -1, dtype=np.int64)
-    pair_cap = 2.0 - 2.0 * gamma
+    pair_cap = 2.0 - 2.0 * GAMMA
     for k in range(ne):
-        mask = n[..., k] + gamma >= 1.0
+        mask = n[..., k] + GAMMA >= 1.0
         for j in range(ne):
             if j == k:
                 continue
-            mask = mask & (n[..., j] + gamma >= 0.0) & (n[..., k] + n[..., j] <= pair_cap)
+            mask = mask & (n[..., j] + GAMMA >= 0.0) & (n[..., k] + n[..., j] <= pair_cap)
         assigned = np.where(mask & (assigned < 0), k, assigned)
     return assigned
 
 
-def window_assign(x_e, p_e, cfg: WindowConfig = WindowConfig()):
+def window_assign(x_e, p_e):
     """Assign a single mapping-variable vector to a state, or None."""
-    idx = int(assign_from_actions(action(x_e, p_e, cfg), cfg))
+    idx = int(assign_from_actions(action(x_e, p_e)))
     return idx if idx >= 0 else None
 
 
@@ -300,7 +287,7 @@ def window_assign(x_e, p_e, cfg: WindowConfig = WindowConfig()):
 
 
 def sample_initial(model: SiteExcitonModel, init_state: int,
-                   cfg: WindowConfig, rng: np.random.Generator) -> PhaseSpaceState:
+                   rng: np.random.Generator) -> PhaseSpaceState:
     """Draw one initial condition: triangle-window electronic sampling plus
     ground-level action-angle nuclear sampling.
 
@@ -395,9 +382,6 @@ class TrajectoryEnsemble:
     def times(self) -> np.ndarray:
         return np.arange(self.n_records) * self.record_dt
 
-    def trajectory(self, i: int) -> Trajectory:
-        return Trajectory(self.record_dt, self.data[i], self.n_states)
-
     def header(self) -> dict:
         return {
             "model": self.model_label,
@@ -441,14 +425,13 @@ def _grid_steps(total: float, step: float, what: str) -> int:
 
 
 def _propagate_batch(Y0: np.ndarray, offset: int, model: SiteExcitonModel,
-                     icfg: IntegratorConfig, t_end: float, record_dt: float,
-                     gamma: float) -> np.ndarray:
+                     icfg: IntegratorConfig, t_end: float, record_dt: float) -> np.ndarray:
     """Fixed-step RK4 on a (n, dim) batch; returns (n, n_records, dim).
     Row r is absolute trajectory `offset` + r in error messages."""
     n_rec = _grid_steps(t_end, record_dt, "t_end") + 1
     n_sub = _grid_steps(record_dt, icfg.dt_internal, "record_dt")
     h = record_dt / n_sub
-    deriv = _Hamiltonian(model, gamma)._deriv
+    deriv = _Hamiltonian(model)._deriv
 
     out = np.empty((Y0.shape[0], n_rec, Y0.shape[1]))
     out[:, 0] = Y0
@@ -487,23 +470,21 @@ def _propagate_batch(Y0: np.ndarray, offset: int, model: SiteExcitonModel,
 
 
 def propagate(model: SiteExcitonModel, state: PhaseSpaceState,
-              icfg: IntegratorConfig, t_end: float, record_dt: float,
-              window: WindowConfig = WindowConfig()) -> Trajectory:
+              icfg: IntegratorConfig, t_end: float, record_dt: float) -> Trajectory:
     """Integrate one trajectory, recording every record_dt (t = 0 included)."""
     _check_dims(model, state)
-    batch = _propagate_batch(pack_state(state)[None, :], 0, model, icfg,
-                             t_end, record_dt, window.gamma)
+    batch = _propagate_batch(pack_state(state)[None, :], 0, model, icfg, t_end, record_dt)
     return Trajectory(record_dt, batch[0], model.n_states)
 
 
 def _sample_starts(model: SiteExcitonModel, n_traj: int, init_state: int,
-                   seed: int, window: WindowConfig) -> np.ndarray:
+                   seed: int) -> np.ndarray:
     """Packed initial conditions, (n_traj, dim); trajectory i draws from the
     (seed, "sampling", i) stream."""
     starts = np.empty((n_traj, model.dim))
     for i in range(n_traj):
         rng = substream(seed, "sampling", i)
-        starts[i] = pack_state(sample_initial(model, init_state, window, rng))
+        starts[i] = pack_state(sample_initial(model, init_state, rng))
     return starts
 
 
@@ -537,7 +518,6 @@ def _map_chunks(work, starts: np.ndarray, workers: int, *args,
 
 def run_ensemble(model: SiteExcitonModel, n_traj: int, init_state: int, seed: int,
                  icfg: IntegratorConfig, t_end: float, record_dt: float,
-                 window: WindowConfig = WindowConfig(),
                  workers: int = 1) -> TrajectoryEnsemble:
     """Sample and propagate n_traj independent trajectories.
 
@@ -548,21 +528,19 @@ def run_ensemble(model: SiteExcitonModel, n_traj: int, init_state: int, seed: in
     if n_traj < 1:
         raise ValueError("n_traj must be at least 1")
     _grid_steps(t_end, record_dt, "t_end")   # fail before starting workers
-    Y0 = _sample_starts(model, n_traj, init_state, seed, window)
-    data = _map_chunks(_propagate_batch, Y0, workers,
-                       model, icfg, t_end, record_dt, window.gamma)
+    Y0 = _sample_starts(model, n_traj, init_state, seed)
+    data = _map_chunks(_propagate_batch, Y0, workers, model, icfg, t_end, record_dt)
     return TrajectoryEnsemble(record_dt, data, model.n_states,
                               model_label=model.label, seed=seed)
 
 
-def ensemble_energies(model: SiteExcitonModel, ensemble: TrajectoryEnsemble,
-                      cfg: WindowConfig = WindowConfig()) -> np.ndarray:
+def ensemble_energies(model: SiteExcitonModel, ensemble: TrajectoryEnsemble) -> np.ndarray:
     """Mapping-Hamiltonian energy of every recorded state, (n_traj, n_records).
 
     States are evaluated ENERGY_CHUNK at a time, so the temporaries stay a
     few MB for any ensemble size."""
     flat = ensemble.data.reshape(-1, ensemble.dim)
-    ham = _Hamiltonian(model, cfg.gamma)
+    ham = _Hamiltonian(model)
     energies = np.empty(len(flat))
     for a in range(0, len(flat), ENERGY_CHUNK):
         energies[a:a + ENERGY_CHUNK] = ham._energy(flat[a:a + ENERGY_CHUNK].T)
@@ -595,14 +573,13 @@ class PopulationSeries:
         return self.values.shape[1]
 
 
-def populations(ensemble: TrajectoryEnsemble,
-                cfg: WindowConfig = WindowConfig()) -> PopulationSeries:
+def populations(ensemble: TrajectoryEnsemble) -> PopulationSeries:
     """Bin every recorded state with the triangle windows and renormalize
     over assigned trajectories."""
     ne = ensemble.n_states
     xe = ensemble.data[:, :, :ne]
     pe = ensemble.data[:, :, ne:2 * ne]
-    assigned = assign_from_actions(action(xe, pe, cfg), cfg)  # (n_traj, n_rec)
+    assigned = assign_from_actions(action(xe, pe))  # (n_traj, n_rec)
     counts = np.stack([np.sum(assigned == k, axis=0) for k in range(ne)], axis=1)
     total = counts.sum(axis=1)
     with np.errstate(invalid="ignore", divide="ignore"):

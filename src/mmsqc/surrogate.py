@@ -96,11 +96,14 @@ def _sigmoid(z):
         return 1.0 / (1.0 + np.exp(-z))
 
 
-def _cell(params: LstmParams, x, h, c):
-    """One cell step on (B, .) arrays; returns (h', c', cache)."""
+def _cell(params: LstmParams, x, h, c, zero_state: bool = False):
+    """One cell step on (B, .) arrays; returns (h', c', cache). With
+    zero_state, h is all zeros and the U4 h matmul (which adds zeros) is
+    skipped."""
     H = params.hidden
     z = x @ params.W4.T
-    z += h @ params.U4.T
+    if not zero_state:
+        z += h @ params.U4.T
     z += params.b4
     i = _sigmoid(z[:, :H])
     f = _sigmoid(z[:, H:2 * H])
@@ -124,7 +127,7 @@ def _unroll(params: LstmParams, x0: np.ndarray, out: np.ndarray,
     c = np.zeros_like(h)
     x = x0
     for t in range(out.shape[1]):
-        h, c, cache = _cell(params, x, h, c)
+        h, c, cache = _cell(params, x, h, c, zero_state=t == 0)
         x = h @ params.W_d.T + params.b_d
         out[:, t] = x[:out.shape[0]]
         if caches is not None:
@@ -170,7 +173,9 @@ def sequence_loss(pred, target) -> float:
 def backward(caches: list, loss_grads, params: LstmParams) -> LstmParams:
     """Exact gradients of the unrolled network w.r.t. every parameter.
 
-    `loss_grads` is dLoss/dy per step, same shape as the forward outputs.
+    `caches` come from `one_to_many_forward`, whose first step starts from
+    h = c = 0. `loss_grads` is dLoss/dy per step, same shape as the forward
+    outputs.
     Gradients flowing through fed-back outputs are included. Batched inputs
     accumulate (sum) over the batch.
     """
@@ -211,11 +216,13 @@ def backward(caches: list, loss_grads, params: LstmParams) -> LstmParams:
         dz[:, H:2 * H] = (dc * c_prev) * f * (1.0 - f)
         dz[:, 2 * H:3 * H] = do * o * (1.0 - o)
         dz[:, 3 * H:] = (dc * i) * (1.0 - g**2)
-        dc_next = dc * f
 
         grads.W4 += dz.T @ x
-        grads.U4 += dz.T @ h_prev
         grads.b4 += dz.sum(axis=0)
+        if t == 0:
+            break   # step 0 starts from h = c = 0: no U4 term, no earlier step
+        grads.U4 += dz.T @ h_prev
+        dc_next = dc * f
         dx_next = dz @ params.W4
         dh_next = dz @ params.U4
 

@@ -105,7 +105,6 @@ def test_criterion_3_energy_conservation():
 
 def test_criterion_4_window_properties():
     rng = np.random.default_rng(77)
-    cfg = sqc.WindowConfig()
     overlaps = 0
     for n_states in (2, 3):
         n = rng.uniform(-GAMMA, 2.0, size=(1_000_000, n_states))
@@ -123,9 +122,9 @@ def test_criterion_4_window_properties():
     for label, init in (("I", 0), ("I", 1), ("III", 2), ("V", 0)):
         model = models.build_model(label)
         for i in range(25_000):
-            s = sqc.sample_initial(model, init, cfg, substream(55, "sampling", i))
+            s = sqc.sample_initial(model, init, substream(55, "sampling", i))
             draws += 1
-            if sqc.window_assign(s.x_e, s.p_e, cfg) != init:
+            if sqc.window_assign(s.x_e, s.p_e) != init:
                 mismatched += 1
     ok = overlaps == 0 and mismatched == 0
     report(4, ok, f"0 overlapping windows in 2x1e6 action vectors "

@@ -25,7 +25,6 @@ from mmsqc.models import Mode, SiteExcitonModel, build_model
 from mmsqc.sqc import (
     IntegratorConfig,
     TrajectoryEnsemble,
-    WindowConfig,
     pack_state,
     populations,
     run_ensemble,
@@ -46,7 +45,7 @@ def sampled_ensemble(model, n_traj, seed, n_records=1):
     """Ensemble of initial samples copied over a trivial time grid."""
     data = np.empty((n_traj, n_records, model.dim))
     for i in range(n_traj):
-        state = sample_initial(model, 0, WindowConfig(), substream(seed, "sampling", i))
+        state = sample_initial(model, 0, substream(seed, "sampling", i))
         data[i, :] = pack_state(state)
     return TrajectoryEnsemble(1.0, data, model.n_states, model.label, seed)
 
@@ -136,7 +135,7 @@ def test_rollout_dimension_mismatch_fails_before_sampling():
 def test_fan_out_error_names_absolute_trajectory(workers):
     model = small_model()
     params = init_params(model.dim, 6, np.random.default_rng(4))
-    starts = _sample_starts(model, 6, 0, 2, WindowConfig())
+    starts = _sample_starts(model, 6, 0, 2)
     starts[4, 0] = np.nan
     with pytest.raises(RolloutError) as err:
         _map_chunks(_rollout_chunk, starts, workers, params, 6, 3)
@@ -165,7 +164,7 @@ def test_rollout_block_edges(n_traj, seed):
         alone = rollout_trajectory(base.data[i, 0], params, 7, 4, model.n_states)
         assert np.array_equal(alone.data, base.data[i])
 
-    starts = _sample_starts(model, n_traj, 0, seed, WindowConfig())
+    starts = _sample_starts(model, n_traj, 0, seed)
     bad = min(70, n_traj - 1)
     starts[bad, 0] = np.nan
     for workers in (1, 2):

@@ -1,5 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from mmsqc import arrayio
 from mmsqc.dataset import (
@@ -14,11 +17,11 @@ from mmsqc.sqc import (
     PhaseSpaceState,
     Trajectory,
     TrajectoryEnsemble,
-    WindowConfig,
     pack_state,
     run_ensemble,
     sample_initial,
 )
+from mmsqc.streams import substream
 
 
 def synthetic_trajectory(n_records, dim=6, n_states=1, seed=0):
@@ -27,9 +30,9 @@ def synthetic_trajectory(n_records, dim=6, n_states=1, seed=0):
 
 
 def test_vectorize_dimensions_and_ordering():
-    s1 = sample_initial(build_model("I"), 0, WindowConfig(), np.random.default_rng(0))
+    s1 = sample_initial(build_model("I"), 0, np.random.default_rng(0))
     assert pack_state(s1).shape == (36,)
-    s3 = sample_initial(build_model("III"), 0, WindowConfig(), np.random.default_rng(0))
+    s3 = sample_initial(build_model("III"), 0, np.random.default_rng(0))
     assert pack_state(s3).shape == (54,)
 
     marked = PhaseSpaceState(np.array([1.0, 2.0]), np.array([3.0, 4.0]),
@@ -117,6 +120,69 @@ def test_build_dataset_provenance_and_determinism():
     assert a.split_seed == 11
     assert np.array_equal(a.train, b.train)
     assert np.array_equal(a.validation, b.validation)
+
+
+def stacked_split(ensemble, seq_len, split_seed):
+    """Oracle: stack each trajectory's windows, split each stack 3:1, then
+    concatenate and shuffle the copies."""
+    train_parts, val_parts = [], []
+    for i in range(ensemble.n_traj):
+        data = ensemble.data[i]
+        seqs = np.stack([data[j:j + seq_len] for j in range(len(data) - seq_len + 1)])
+        perm = substream(split_seed, "split", i).permutation(len(seqs))
+        n_val = len(seqs) // 4
+        val_parts.append(seqs[perm[:n_val]])
+        train_parts.append(seqs[perm[n_val:]])
+    train = np.concatenate(train_parts)
+    validation = np.concatenate(val_parts)
+    train = train[substream(split_seed, "shuffle", 0).permutation(len(train))]
+    validation = validation[substream(split_seed, "shuffle", 1).permutation(len(validation))]
+    return train, validation
+
+
+@settings(max_examples=40, deadline=None)
+@given(n_traj=st.integers(1, 5), seq_len=st.integers(2, 8), extra=st.integers(3, 30),
+       dim=st.integers(1, 7), seed=st.integers(0, 2**32 - 1),
+       split_seed=st.integers(0, 2**32 - 1))
+@example(n_traj=5, seq_len=2, extra=3, dim=3, seed=0, split_seed=0)
+def test_build_dataset_matches_stacked_split(n_traj, seq_len, extra, dim, seed, split_seed):
+    """Gathering each set once through (trajectory, start) ids gives the
+    stacked split bit for bit; `extra` = 3 leaves exactly 4 windows."""
+    data = np.random.default_rng(seed).normal(size=(n_traj, seq_len + extra, dim))
+    ensemble = TrajectoryEnsemble(1.0, data, 1)
+    train, validation = stacked_split(ensemble, seq_len, split_seed)
+    ds = build_dataset(ensemble, seq_len, split_seed)
+    direct = partition(split_sequences(ensemble, seq_len), split_seed)
+    for got_train, got_val in ((ds.train, ds.validation), direct):
+        assert got_train.shape == train.shape and got_val.shape == validation.shape
+        assert got_train.tobytes() == train.tobytes()
+        assert got_val.tobytes() == validation.tobytes()
+
+
+def test_split_sequences_is_a_read_only_view():
+    traj = synthetic_trajectory(12, seed=4)
+    ensemble = TrajectoryEnsemble(1.0, np.stack([traj.data, traj.data + 1.0]), 1)
+    seqs = split_sequences(traj, 4)
+    windows = split_sequences(ensemble, 4)
+    assert seqs.shape == (9, 4, 6) and windows.shape == (2, 9, 4, 6)
+    for view, records in ((seqs, traj.data), (windows, ensemble.data)):
+        assert np.shares_memory(view, records)
+        assert not view.flags.writeable
+    assert np.array_equal(windows[1], seqs + 1.0)
+
+
+def test_build_dataset_gathers_each_set_once():
+    """Peak traced memory stays near the size of the two sets it returns."""
+    ensemble = TrajectoryEnsemble(1.0, np.random.default_rng(3).normal(size=(20, 60, 36)), 2)
+    tracemalloc.start()
+    try:
+        ds = build_dataset(ensemble, 5, split_seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    payload = ds.train.nbytes + ds.validation.nbytes
+    assert payload == 20 * 56 * 5 * 36 * 8
+    assert peak <= 1.25 * payload
 
 
 def test_dataset_file_round_trip(tmp_path):

@@ -14,7 +14,7 @@ from mmsqc.models import (
     load_model,
     save_model,
 )
-from mmsqc.sqc import PhaseSpaceState, WindowConfig, _Hamiltonian, mm_energy
+from mmsqc.sqc import PhaseSpaceState, _Hamiltonian, mm_energy
 from reference_tables import DEBYE_MODES_EV, LOCAL_MODES_EV, SITE_MATRICES_EV
 
 
@@ -104,7 +104,7 @@ def test_mode_validation():
 
 def diagonal(model, Q):
     """V_kk + kappa_k.Q_k in eV, from the Hamiltonian the dynamics use."""
-    ham = _Hamiltonian(model, WindowConfig().gamma)
+    ham = _Hamiltonian(model)
     Y = np.concatenate([np.zeros(2 * model.n_states), Q, np.zeros(model.n_modes)])
     return ham._diagonal(Y[:, None])[:, 0] * HBAR_EV_FS
 
@@ -132,7 +132,7 @@ def test_diabatic_elements_at_origin():
     assert diagonal(model2, np.zeros(16)) == pytest.approx([0.2, 0.0])
     # x_0 = sqrt(2) gives state 0 the weight 1 - gamma; V_00 = 0.2 counts once
     excited = state(model2, x_e=np.array([np.sqrt(2.0), 0.0]))
-    assert mm_energy(model2, excited) == pytest.approx(0.2 * (1.0 - WindowConfig().gamma))
+    assert mm_energy(model2, excited) == pytest.approx(0.2 * (1.0 - 1.0 / 3.0))
 
 
 def test_diabatic_elements_single_mode_displacement():

@@ -11,7 +11,6 @@ from mmsqc.sqc import (
     PhaseSpaceState,
     Trajectory,
     TrajectoryEnsemble,
-    WindowConfig,
     action,
     assign_from_actions,
     eom,
@@ -68,45 +67,38 @@ def random_state(model, seed):
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        WindowConfig(gamma=0.0)
-    with pytest.raises(ValueError):
-        WindowConfig(gamma=1.0)
-    with pytest.raises(ValueError):
         IntegratorConfig(dt_internal=0.0)
 
 
 def test_action_values():
-    cfg = WindowConfig()
-    assert action(np.sqrt(2.0), 0.0, cfg) == pytest.approx(2.0 / 3.0)
-    assert action(0.0, 0.0, cfg) == pytest.approx(-GAMMA)
-    assert action(1.0, 1.0, cfg) == pytest.approx(2.0 / 3.0)
+    assert action(np.sqrt(2.0), 0.0) == pytest.approx(2.0 / 3.0)
+    assert action(0.0, 0.0) == pytest.approx(-GAMMA)
+    assert action(1.0, 1.0) == pytest.approx(2.0 / 3.0)
 
 
 def test_window_assign_examples():
-    cfg = WindowConfig()
-    assert assign_from_actions(np.array([0.8, -0.1]), cfg) == 0
-    assert assign_from_actions(np.array([0.5, 0.5]), cfg) == -1
+    assert assign_from_actions(np.array([0.8, -0.1])) == 0
+    assert assign_from_actions(np.array([0.5, 0.5])) == -1
     # all mapping variables zero
-    assert window_assign(np.zeros(2), np.zeros(2), cfg) is None
+    assert window_assign(np.zeros(2), np.zeros(2)) is None
     x = np.sqrt(2.0 * np.array([0.8 + GAMMA, -0.1 + GAMMA]))
-    assert window_assign(x, np.zeros(2), cfg) == 0
+    assert window_assign(x, np.zeros(2)) == 0
 
 
 def test_window_disjointness_random_actions():
     rng = np.random.default_rng(123)
-    cfg = WindowConfig()
     for n_states in (2, 3):
         n = rng.uniform(-GAMMA, 2.0, size=(200_000, n_states))
         positive = np.zeros(len(n), dtype=int)
         for k in range(n_states):
-            ok = n[:, k] + cfg.gamma >= 1.0
+            ok = n[:, k] + GAMMA >= 1.0
             for j in range(n_states):
                 if j != k:
-                    ok &= (n[:, j] + cfg.gamma >= 0.0) & (n[:, k] + n[:, j] <= 2 - 2 * cfg.gamma)
+                    ok &= (n[:, j] + GAMMA >= 0.0) & (n[:, k] + n[:, j] <= 2 - 2 * GAMMA)
             positive += ok
         assert positive.max() <= 1
         # the vectorized assignment agrees with the per-window evaluation
-        assigned = assign_from_actions(n, cfg)
+        assigned = assign_from_actions(n)
         assert np.array_equal(assigned >= 0, positive == 1)
 
 
@@ -246,7 +238,7 @@ def test_hamiltonian_matches_per_state_reference(model, n, seed):
     trajectory's derivative does not depend on its batch, and the energy is
     the plain per-state sum."""
     Y = np.random.default_rng(seed).normal(size=(model.dim, n))
-    ham = _Hamiltonian(model, GAMMA)
+    ham = _Hamiltonian(model)
     dY = ham._deriv(Y, np.empty_like(Y))
     assert np.array_equal(dY, PerStateDeriv(model, GAMMA)(Y))
     i = seed % n
@@ -264,16 +256,15 @@ def test_hamiltonian_matches_per_state_reference(model, n, seed):
 
 def test_sample_initial_support_and_rings():
     model = build_model("III")
-    cfg = WindowConfig()
     for i in range(500):
-        s = sample_initial(model, 1, cfg, substream(9, "sampling", i))
+        s = sample_initial(model, 1, substream(9, "sampling", i))
         e = 0.5 * (s.x_e**2 + s.p_e**2)
         assert 1.0 <= e[1] <= 2.0
         for j in (0, 2):
             assert 0.0 <= e[j] <= 1.0
             assert e[1] + e[j] <= 2.0
         assert np.max(np.abs(s.Q**2 + s.P**2 - 1.0)) < 1e-12
-        assert window_assign(s.x_e, s.p_e, cfg) == 1
+        assert window_assign(s.x_e, s.p_e) == 1
         assert s.t == 0.0
 
 
@@ -281,19 +272,18 @@ def test_sample_initial_mean_radial_action():
     """Mean of e_init over the triangle {e1 in [1,2], e2 in [0,1],
     e1+e2 <= 2} is its centroid coordinate 4/3."""
     model = build_model("I")
-    cfg = WindowConfig()
     rng = np.random.default_rng(2024)
     n = 40_000
     e1 = np.empty(n)
     for i in range(n):
-        s = sample_initial(model, 0, cfg, rng)
+        s = sample_initial(model, 0, rng)
         e1[i] = 0.5 * (s.x_e[0]**2 + s.p_e[0]**2)
     assert e1.mean() == pytest.approx(4.0 / 3.0, abs=0.01)
 
 
 def test_sample_initial_bad_state_index():
     with pytest.raises(ValueError):
-        sample_initial(build_model("I"), 2, WindowConfig(), np.random.default_rng(0))
+        sample_initial(build_model("I"), 2, np.random.default_rng(0))
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +292,7 @@ def test_sample_initial_bad_state_index():
 
 def test_record_count():
     model = build_model("I")
-    state = sample_initial(model, 0, WindowConfig(), np.random.default_rng(1))
+    state = sample_initial(model, 0, np.random.default_rng(1))
     traj = propagate(model, state, IntegratorConfig(0.05), t_end=10.0, record_dt=1.0)
     assert traj.n_records == 11
     assert traj.times[0] == 0.0
@@ -365,7 +355,7 @@ def test_ensemble_energies_match_mm_energy():
 
 def test_time_reversal():
     model = build_model("I")
-    state = sample_initial(model, 0, WindowConfig(), np.random.default_rng(4))
+    state = sample_initial(model, 0, np.random.default_rng(4))
     icfg = IntegratorConfig(0.01)
     forward = propagate(model, state, icfg, 10.0, 10.0)
     end = forward.state(1)
@@ -397,7 +387,7 @@ def test_run_ensemble_shapes_and_determinism():
     again = run_ensemble(model, 6, 0, 11, icfg, 10.0, 1.0)
     assert np.array_equal(ens.data, again.data)
     # each row equals the individually propagated trajectory, bit for bit
-    state = sample_initial(model, 0, WindowConfig(), substream(11, "sampling", 3))
+    state = sample_initial(model, 0, substream(11, "sampling", 3))
     single = propagate(model, state, icfg, 10.0, 1.0)
     assert np.array_equal(single.data, ens.data[3])
 
@@ -416,21 +406,21 @@ def test_fan_out_error_names_absolute_trajectory(workers):
     """The error names the earliest time, then the lowest trajectory, then
     its lowest variable, at any worker count."""
     model = build_model("I")
-    Y0 = _sample_starts(model, 6, 0, 5, WindowConfig())
+    Y0 = _sample_starts(model, 6, 0, 5)
     Y0[4, 0] = 1e200   # overflows within the first recording interval
     with pytest.raises(IntegrationError) as err:
         _map_chunks(_propagate_batch, Y0, workers,
-                    model, IntegratorConfig(0.05), 2.0, 1.0, GAMMA)
+                    model, IntegratorConfig(0.05), 2.0, 1.0)
     assert err.value.trajectory == 4
     # trajectory 1 (amplified 50x) overflows by t = 2, trajectory 5 by t = 1;
     # amplified 100x, both overflow by t = 1
     for factor, t, trajectory in [(50.0, 1.0, 5), (100.0, 1.0, 1)]:
-        Y0 = _sample_starts(model, 6, 0, 5, WindowConfig())
+        Y0 = _sample_starts(model, 6, 0, 5)
         Y0[1, :4] *= factor
         Y0[5, 0] = 1e200
         with pytest.raises(IntegrationError) as err:
             _map_chunks(_propagate_batch, Y0, workers,
-                        model, IntegratorConfig(0.05), 10.0, 1.0, GAMMA)
+                        model, IntegratorConfig(0.05), 10.0, 1.0)
         assert (err.value.t, err.value.trajectory, err.value.variable) == (t, trajectory, "x_e[0]")
     # no modes, no coupling: trajectory 0 fails only in state 1, trajectory 1
     # only in state 0, both by t = 1
@@ -438,7 +428,7 @@ def test_fan_out_error_names_absolute_trajectory(workers):
     Y0 = np.ones((2, none.dim))
     Y0[0, 3] = Y0[1, 2] = np.inf
     with pytest.raises(IntegrationError) as err:
-        _map_chunks(_propagate_batch, Y0, workers, none, IntegratorConfig(0.05), 2.0, 1.0, GAMMA)
+        _map_chunks(_propagate_batch, Y0, workers, none, IntegratorConfig(0.05), 2.0, 1.0)
     assert (err.value.t, err.value.trajectory, err.value.variable) == (1.0, 0, "x_e[1]")
 
 
@@ -503,7 +493,7 @@ def test_pack_unpack_round_trip():
 def test_trajectory_state_accessors():
     model = build_model("I")
     ens = run_ensemble(model, 2, 0, 3, IntegratorConfig(0.05), 3.0, 1.0)
-    traj = ens.trajectory(1)
+    traj = Trajectory(ens.record_dt, ens.data[1], ens.n_states)
     assert traj.n_records == 4
     assert traj.state(2).t == pytest.approx(2.0)
 

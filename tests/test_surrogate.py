@@ -94,6 +94,20 @@ def test_cell_shape_mismatch():
         cell_row(np.zeros(2), np.zeros(4), np.zeros(4), params)
 
 
+def test_cell_zero_state_matches_explicit_zeros():
+    """zero_state (the first step) skips the U4 h matmul; the step is the one
+    that the full matmul on zero arrays gives, byte for byte."""
+    params = random_params(3, 4, 2)
+    x = np.random.default_rng(6).normal(size=(5, 3))
+    zeros = np.zeros((5, 4))
+    h1, c1, cache1 = _cell(params, x, zeros, zeros)
+    h0, c0, cache0 = _cell(params, x, zeros, zeros, zero_state=True)
+    assert h0.tobytes() == h1.tobytes()
+    assert c0.tobytes() == c1.tobytes()
+    for name in "ifog":
+        assert cache0[name].tobytes() == cache1[name].tobytes()
+
+
 # ---------------------------------------------------------------------------
 # unrolled forward
 
