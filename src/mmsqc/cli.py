@@ -139,8 +139,8 @@ def cmd_train(args, config) -> int:
     seed = get("seed", 0, int)
     out = _require(get("out", None, str), "out")
     loss_csv = get("loss-csv", None, str)
-    if lr < 0:
-        raise UsageError(f"--lr must be non-negative, got {lr}")
+    if not 0.0 <= lr < np.inf:   # also refuses nan
+        raise UsageError(f"--lr must be finite and non-negative, got {lr}")
 
     data = ds.SequenceDataset.load(source)
     cfg = surrogate.TrainConfig(seq_len=data.seq_len, hidden=hidden,

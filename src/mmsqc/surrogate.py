@@ -28,6 +28,7 @@ TENSOR_FIELDS = ("W_i", "W_f", "W_o", "W_g", "U_i", "U_f", "U_o", "U_g",
                  "b_i", "b_f", "b_o", "b_g", "W_d", "b_d")
 
 EVAL_CHUNK = 512   # sequences per forward pass when evaluating a loss
+ADAM_BLOCK = 32768  # elements per Adam block; its temporaries are two blocks
 
 
 def _flat_size(dim: int, hidden: int) -> int:
@@ -170,14 +171,16 @@ def sequence_loss(pred, target) -> float:
     return float(np.mean(diff * diff))
 
 
-def backward(caches: list, loss_grads, params: LstmParams) -> LstmParams:
+def backward(caches: list, loss_grads, params: LstmParams,
+             out: LstmParams | None = None) -> LstmParams:
     """Exact gradients of the unrolled network w.r.t. every parameter.
 
     `caches` come from `one_to_many_forward`, whose first step starts from
     h = c = 0. `loss_grads` is dLoss/dy per step, same shape as the forward
     outputs.
     Gradients flowing through fed-back outputs are included. Batched inputs
-    accumulate (sum) over the batch.
+    accumulate (sum) over the batch. If `out` is given, it is zeroed, filled
+    and returned, so a training loop can reuse one gradient vector.
     """
     dY = np.asarray(loss_grads, dtype=float)
     if not caches:
@@ -191,7 +194,15 @@ def backward(caches: list, loss_grads, params: LstmParams) -> LstmParams:
         )
     B, steps, _ = dY.shape
     H = params.hidden
-    grads = LstmParams.zeros(params.dim, H)
+    if out is None:
+        grads = LstmParams.zeros(params.dim, H)
+    elif (out.dim, out.hidden) != (params.dim, H):
+        raise ValueError(f"out has D={out.dim}, H={out.hidden}; "
+                         f"params have D={params.dim}, H={H}")
+    else:
+        grads = out
+        grads.flat.fill(0.0)
+    prod = np.empty_like(grads.U4) if steps > 1 else None   # one U4 product
     dx_next = None
     dh_next = np.zeros((B, H))
     dc_next = np.zeros((B, H))
@@ -221,7 +232,7 @@ def backward(caches: list, loss_grads, params: LstmParams) -> LstmParams:
         grads.b4 += dz.sum(axis=0)
         if t == 0:
             break   # step 0 starts from h = c = 0: no U4 term, no earlier step
-        grads.U4 += dz.T @ h_prev
+        grads.U4 += np.matmul(dz.T, h_prev, out=prod)
         dc_next = dc * f
         dx_next = dz @ params.W4
         dh_next = dz @ params.U4
@@ -248,22 +259,30 @@ def adam_step(params: LstmParams, grads: LstmParams, state: AdamState,
               lr: float, beta1: float = 0.9, beta2: float = 0.999,
               eps: float = 1e-8) -> tuple[LstmParams, AdamState]:
     """Standard bias-corrected Adam update on the flat vectors. `params` and
-    the moments are updated in place; returns `params` and the advanced state
-    (the input state is consumed)."""
+    the moments are updated in place, ADAM_BLOCK elements at a time through
+    two block-sized scratch arrays, with the same elementwise operations in
+    the same order as a whole-vector update. Returns `params` and the
+    advanced state (the input state is consumed)."""
     t = state.step + 1
     scale_m = lr / (1.0 - beta1**t)
     scale_v = 1.0 / np.sqrt(1.0 - beta2**t)
-    g, m, v = grads.flat, state.m.flat, state.v.flat
-    m *= beta1
-    m += (1.0 - beta1) * g
-    v *= beta2
-    v += (1.0 - beta2) * (g * g)
-    denom = np.sqrt(v)
-    denom *= scale_v
-    denom += eps
-    update = m * scale_m
-    update /= denom
-    params.flat -= update
+    tmp, update = np.empty(ADAM_BLOCK), np.empty(ADAM_BLOCK)
+    for start in range(0, params.flat.size, ADAM_BLOCK):
+        blk = slice(start, start + ADAM_BLOCK)
+        g, m, v, p = grads.flat[blk], state.m.flat[blk], state.v.flat[blk], params.flat[blk]
+        a, u = tmp[:g.size], update[:g.size]
+        m *= beta1
+        m += np.multiply(1.0 - beta1, g, out=a)
+        v *= beta2
+        np.multiply(g, g, out=a)
+        a *= 1.0 - beta2
+        v += a
+        denom = np.sqrt(v, out=a)
+        denom *= scale_v
+        denom += eps
+        np.multiply(m, scale_m, out=u)
+        u /= denom
+        p -= u
     return params, replace(state, step=t)
 
 
@@ -288,8 +307,15 @@ class TrainConfig:
             raise ValueError("seq_len must be at least 2")
         if min(self.hidden, self.batch_size, self.epochs) < 1:
             raise ValueError("hidden, batch_size and epochs must be positive")
-        if self.learning_rate < 0.0:
-            raise ValueError("learning rate must be non-negative")
+        # written so that NaN fails every check
+        if not 0.0 <= self.learning_rate < np.inf:
+            raise ValueError(f"learning rate must be finite and non-negative, "
+                             f"got {self.learning_rate}")
+        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
+            raise ValueError(f"beta1 and beta2 must lie in [0, 1), "
+                             f"got {self.beta1} and {self.beta2}")
+        if not 0.0 < self.eps < np.inf:
+            raise ValueError(f"eps must be finite and positive, got {self.eps}")
 
 
 @dataclass
@@ -335,6 +361,7 @@ def train(dataset: SequenceDataset, cfg: TrainConfig,
     t_start = time.perf_counter()
     params = init_params(dataset.dim, cfg.hidden, substream(cfg.seed, "init"))
     adam = AdamState.zeros(dataset.dim, cfg.hidden)
+    grads = LstmParams.zeros(dataset.dim, cfg.hidden)   # reused by every batch
     best = params.copy()
     best_val = np.inf
     best_epoch = 0
@@ -350,18 +377,19 @@ def train(dataset: SequenceDataset, cfg: TrainConfig,
             loss = sequence_loss(ys, targets)
             if not np.isfinite(loss):
                 raise TrainDivergedError(epoch, batch_no)
+            epoch_sq += loss * seqs.shape[0]
             dY = (2.0 / ys.size) * (ys - targets)
-            grads = backward(caches, dY, params)
+            backward(caches, dY, params, out=grads)
+            del ys, caches, dY, seqs, targets   # free the batch before the next forward
             params, adam = adam_step(params, grads, adam, cfg.learning_rate,
                                      cfg.beta1, cfg.beta2, cfg.eps)
-            epoch_sq += loss * seqs.shape[0]
         train_losses.append(epoch_sq / dataset.n_train)
         val = evaluate_loss(dataset.validation, params, cfg.seq_len)
         val_losses.append(val)
         if val < best_val:
             best_val = val
             best_epoch = epoch
-            best = params.copy()
+            np.copyto(best.flat, params.flat)
         if progress is not None:
             progress(epoch, train_losses[-1], val)
 

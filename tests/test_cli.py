@@ -150,6 +150,17 @@ def test_train_progress_goes_to_stderr(tiny_pipeline, capsys):
     assert [line.split()[:2] for line in progress] == [["epoch", f"{e}/3"] for e in (1, 2, 3)]
 
 
+@pytest.mark.parametrize("lr", ["nan", "inf"])
+def test_train_refuses_non_finite_learning_rate(tiny_pipeline, capsys, lr):
+    tmp_path, paths = tiny_pipeline
+    capsys.readouterr()
+    out = tmp_path / "bad.ckpt"
+    assert run("train", "--dataset", paths["data"], "--hidden", 8, "--lr", lr,
+               "--epochs", 1, "--out", out) == 2
+    assert f"--lr must be finite and non-negative, got {lr}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_defaults_come_from_the_configs(tiny_pipeline):
     """Flags left out take the library configs' defaults."""
     tmp_path, paths = tiny_pipeline

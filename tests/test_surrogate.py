@@ -1,14 +1,16 @@
 import math
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mmsqc import arrayio
 from mmsqc.dataset import SequenceDataset
 from mmsqc.streams import substream
 from mmsqc.surrogate import (
+    ADAM_BLOCK,
     TENSOR_FIELDS,
     AdamState,
     LstmParams,
@@ -231,6 +233,56 @@ def test_backward_requires_matching_caches():
         backward([], ys, params)
     with pytest.raises(ValueError):
         backward(caches[:-1], np.zeros_like(ys), params)
+    with pytest.raises(ValueError):
+        backward(caches, np.zeros_like(ys), params, out=LstmParams.zeros(4, 7))
+
+
+@settings(max_examples=40, deadline=None)
+@given(dim=st.integers(1, 5), hidden=st.integers(1, 6), seq_len=st.integers(2, 6),
+       batch=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+@example(dim=3, hidden=4, seq_len=2, batch=2, seed=0)
+def test_backward_out_is_the_same_gradient(dim, hidden, seq_len, batch, seed):
+    """A pre-filled `out` is zeroed, filled and returned, byte for byte the
+    gradient a fresh call returns."""
+    rng = np.random.default_rng(seed)
+    params = random_params(dim, hidden, seed)
+    ys, caches = one_to_many_forward(rng.normal(size=(batch, dim)), seq_len, params)
+    dY = rng.normal(size=ys.shape)
+    buf = LstmParams(rng.normal(size=params.flat.size), dim, hidden)
+    assert backward(caches, dY, params, out=buf) is buf
+    assert buf.flat.tobytes() == backward(caches, dY, params).flat.tobytes()
+    if seq_len == 2:   # the one step starts from h = 0, so U4 gets no term
+        assert buf.U4.tobytes() == bytes(buf.U4.nbytes)
+
+
+# memory: one parameter vector at D = 36, H = 256 is 2.47 MB
+
+
+def traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_adam_step_allocates_no_vector():
+    params = random_params(36, 256, 1)
+    grads = random_params(36, 256, 2)
+    state = AdamState.zeros(36, 256)
+    peak = traced_peak(lambda: adam_step(params, grads, state, lr=1e-3))
+    assert peak <= 0.3 * params.flat.nbytes
+
+
+def test_backward_into_out_allocates_no_gradient():
+    params = random_params(36, 256, 3)
+    rng = np.random.default_rng(4)
+    ys, caches = one_to_many_forward(rng.normal(size=(50, 36)), 5, params)
+    dY = rng.normal(size=ys.shape)
+    out = LstmParams.zeros(36, 256)
+    peak = traced_peak(lambda: backward(caches, dY, params, out=out))
+    assert peak <= 1.5 * params.flat.nbytes
 
 
 # ---------------------------------------------------------------------------
@@ -325,6 +377,28 @@ def test_flat_vector_views_checkpoint_and_adam(tmp_path_factory, dim, hidden, se
         assert getattr(params, name).tobytes() == ref[name].tobytes(), name
 
 
+def test_adam_blocks_match_whole_tensor_update():
+    """Block edges do not change a bit: 89124 elements are two full blocks
+    and a partial one."""
+    dim, hidden = 36, 128
+    rng = np.random.default_rng(5)
+    params = random_params(dim, hidden, 6)
+    assert params.flat.size > 2 * ADAM_BLOCK
+    ref = {name: getattr(params, name).copy() for name in TENSOR_FIELDS}
+    m = {name: np.zeros_like(arr) for name, arr in ref.items()}
+    v = {name: np.zeros_like(arr) for name, arr in ref.items()}
+    state = AdamState.zeros(dim, hidden)
+    grads = LstmParams.zeros(dim, hidden)
+    for step in range(3):
+        grads.flat[:] = rng.normal(size=grads.flat.size) * 10.0**rng.integers(-6, 3)
+        reference_adam(ref, {n: getattr(grads, n).copy() for n in TENSOR_FIELDS}, m, v, step, 1e-3)
+        params, state = adam_step(params, grads, state, 1e-3)
+    for name in TENSOR_FIELDS:
+        assert getattr(params, name).tobytes() == ref[name].tobytes(), name
+        assert getattr(state.m, name).tobytes() == m[name].tobytes(), name
+        assert getattr(state.v, name).tobytes() == v[name].tobytes(), name
+
+
 # ---------------------------------------------------------------------------
 # initialization
 
@@ -392,6 +466,24 @@ def test_train_aborts_on_nan_with_context():
         train(ds, cfg)
     assert err.value.epoch == 0
     assert err.value.batch == 0
+
+
+@pytest.mark.parametrize("field, value", [
+    ("beta1", 1.0), ("beta1", -0.1), ("beta1", math.nan),
+    ("beta2", 1.0), ("beta2", -0.1), ("beta2", math.nan),
+    ("eps", 0.0), ("eps", -1e-8), ("eps", math.inf), ("eps", math.nan),
+    ("learning_rate", -1e-3), ("learning_rate", math.inf), ("learning_rate", math.nan),
+])
+def test_train_config_rejects_bad_optimizer_settings(field, value):
+    """Settings that cannot train: beta1 = 1 divides by zero in the first
+    step, beta2 = 1 gives NaN weights, eps < 0 gives -inf weights."""
+    with pytest.raises(ValueError, match=field.split("_")[0]):
+        TrainConfig(seq_len=3, **{field: value})
+
+
+def test_train_config_accepts_edge_optimizer_settings():
+    cfg = TrainConfig(seq_len=3, learning_rate=0.0, beta1=0.0, beta2=0.0, eps=1e-300)
+    assert (cfg.beta1, cfg.beta2) == (0.0, 0.0)
 
 
 def test_train_validates_config_against_dataset():
