@@ -89,13 +89,11 @@ def rollout_trajectory(x0, params: LstmParams, total_steps: int, seq_len: int,
     return Trajectory(record_dt, data[0], n_states)
 
 
-def _rollout_chunk(starts: np.ndarray, offset: int, params: LstmParams,
-                   total_steps: int, seq_len: int) -> np.ndarray:
-    out = np.empty((starts.shape[0], total_steps + 1, starts.shape[1]))
+def _rollout_chunk(starts: np.ndarray, offset: int, out: np.ndarray, params: LstmParams,
+                   total_steps: int, seq_len: int) -> None:
     for a in range(0, starts.shape[0], BLOCK):
         _rollout_block(starts[a:a + BLOCK], params, total_steps, seq_len,
                        out[a:a + BLOCK], offset + a)
-    return out
 
 
 def rollout_ensemble(model: SiteExcitonModel, params: LstmParams,
@@ -111,7 +109,7 @@ def rollout_ensemble(model: SiteExcitonModel, params: LstmParams,
             f"{model.label} dimension {model.dim}"
         )
     starts = _sample_starts(model, cfg.n_traj, cfg.init_state, cfg.seed)
-    data = _map_chunks(_rollout_chunk, starts, cfg.workers,
+    data = _map_chunks(_rollout_chunk, starts, (cfg.total_steps + 1, model.dim), cfg.workers,
                        params, cfg.total_steps, cfg.seq_len, grain=BLOCK)
     return TrajectoryEnsemble(cfg.record_dt, data, model.n_states,
                               model_label=model.label, seed=cfg.seed)

@@ -23,6 +23,17 @@ class UsageError(Exception):
     pass
 
 
+class _OutOfRange(ValueError):
+    """A `_resolve` cast refuses the value; the message follows its source."""
+
+
+def _learning_rate(text) -> float:
+    value = float(text)
+    if not 0.0 <= value < np.inf:   # also refuses nan
+        raise _OutOfRange(f"must be finite and non-negative, got {value}")
+    return value
+
+
 def _resolve(args: argparse.Namespace, config: dict, command: str, key: str,
              default, cast, positive: bool = False, env: str | None = None):
     """flags > config[command][key] > config[key] > environment variable `env`
@@ -42,6 +53,8 @@ def _resolve(args: argparse.Namespace, config: dict, command: str, key: str,
         return default
     try:
         value = cast(value)
+    except _OutOfRange as exc:
+        raise UsageError(f"{source} {exc}") from None
     except ValueError:
         raise UsageError(f"invalid value for {source}: {value!r}") from None
     if positive and value <= 0:
@@ -133,14 +146,12 @@ def cmd_train(args, config) -> int:
     get = functools.partial(_resolve, args, config, "train")
     source = _require(get("dataset", None, str), "dataset")
     hidden = get("hidden", surrogate.TrainConfig.hidden, int, positive=True)
-    lr = get("lr", surrogate.TrainConfig.learning_rate, float)
+    lr = get("lr", surrogate.TrainConfig.learning_rate, _learning_rate)
     batch = get("batch", surrogate.TrainConfig.batch_size, int, positive=True)
     epochs = get("epochs", surrogate.TrainConfig.epochs, int, positive=True)
     seed = get("seed", 0, int)
     out = _require(get("out", None, str), "out")
     loss_csv = get("loss-csv", None, str)
-    if not 0.0 <= lr < np.inf:   # also refuses nan
-        raise UsageError(f"--lr must be finite and non-negative, got {lr}")
 
     data = ds.SequenceDataset.load(source)
     cfg = surrogate.TrainConfig(seq_len=data.seq_len, hidden=hidden,

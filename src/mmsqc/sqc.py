@@ -424,16 +424,15 @@ def _grid_steps(total: float, step: float, what: str) -> int:
     return n
 
 
-def _propagate_batch(Y0: np.ndarray, offset: int, model: SiteExcitonModel,
-                     icfg: IntegratorConfig, t_end: float, record_dt: float) -> np.ndarray:
-    """Fixed-step RK4 on a (n, dim) batch; returns (n, n_records, dim).
-    Row r is absolute trajectory `offset` + r in error messages."""
-    n_rec = _grid_steps(t_end, record_dt, "t_end") + 1
+def _propagate_batch(Y0: np.ndarray, offset: int, out: np.ndarray, model: SiteExcitonModel,
+                     icfg: IntegratorConfig, record_dt: float) -> None:
+    """Fixed-step RK4 on a (n, dim) batch, written into `out` (n, n_records,
+    dim). Row r is absolute trajectory `offset` + r in error messages."""
+    n_rec = out.shape[1]
     n_sub = _grid_steps(record_dt, icfg.dt_internal, "record_dt")
     h = record_dt / n_sub
     deriv = _Hamiltonian(model)._deriv
 
-    out = np.empty((Y0.shape[0], n_rec, Y0.shape[1]))
     out[:, 0] = Y0
     Y = np.ascontiguousarray(Y0.T)   # variables-major for contiguous kernel ops
     k1, k2, k3, k4, stage = (np.empty_like(Y) for _ in range(5))
@@ -466,15 +465,15 @@ def _propagate_batch(Y0: np.ndarray, offset: int, model: SiteExcitonModel,
                                        _variable_name(model, int(var)),
                                        offset + int(row))
             out[:, rec] = Y.T
-    return out
 
 
 def propagate(model: SiteExcitonModel, state: PhaseSpaceState,
               icfg: IntegratorConfig, t_end: float, record_dt: float) -> Trajectory:
     """Integrate one trajectory, recording every record_dt (t = 0 included)."""
     _check_dims(model, state)
-    batch = _propagate_batch(pack_state(state)[None, :], 0, model, icfg, t_end, record_dt)
-    return Trajectory(record_dt, batch[0], model.n_states)
+    out = np.empty((1, _grid_steps(t_end, record_dt, "t_end") + 1, model.dim))
+    _propagate_batch(pack_state(state)[None, :], 0, out, model, icfg, record_dt)
+    return Trajectory(record_dt, out[0], model.n_states)
 
 
 def _sample_starts(model: SiteExcitonModel, n_traj: int, init_state: int,
@@ -488,32 +487,61 @@ def _sample_starts(model: SiteExcitonModel, n_traj: int, init_state: int,
     return starts
 
 
-def _map_chunks(work, starts: np.ndarray, workers: int, *args,
+_CHUNK_JOB = None   # (work, starts, out, args); set only in fan-out worker processes
+
+
+def _set_chunk_job(*job) -> None:
+    global _CHUNK_JOB
+    _CHUNK_JOB = job
+
+
+def _run_chunk(a: int, b: int) -> None:
+    work, starts, out, args = _CHUNK_JOB
+    work(starts[a:b], a, out[a:b], *args)
+
+
+def _map_chunks(work, starts: np.ndarray, row_shape: tuple, workers: int, *args,
                 grain: int = 1) -> np.ndarray:
-    """Stack work(starts[a:b], a, *args) over contiguous trajectory chunks,
-    one per worker process; a single chunk runs in this process. `a` is the
-    chunk's first absolute trajectory index, for error messages. Chunks hold
-    whole grains of `grain` trajectories, so every `a` is a multiple of it
-    and no chunk is empty. `work` must be a module-level function so it can
-    be sent to the workers.
+    """Run work(starts[a:b], a, out[a:b], *args) over contiguous trajectory
+    chunks, one per worker process, and return `out`, (n, *row_shape) float64.
+    `work` writes its rows of `out` in place; a single chunk runs in this
+    process. `a` is the chunk's first absolute trajectory index, for error
+    messages. Chunks hold whole grains of `grain` trajectories, so every `a`
+    is a multiple of it and no chunk is empty.
+
+    With two or more workers, `out` lives in an anonymous shared mapping that
+    the forked workers inherit, so no chunk is sent back or stacked: the
+    parent holds one copy of the output, and the mapping lives as long as the
+    returned array.
 
     Every chunk runs to the end. If any failed, the failure with the
     earliest time `t` is raised (a failure without one counts as t = 0),
     ties going to chunk order, so the error does not depend on the chunk
     count."""
     n = starts.shape[0]
+    shape = (n, *row_shape)
     grains = -(-n // grain)
     workers = max(1, min(workers, grains))
     if workers == 1:
-        return work(starts, 0, *args)
+        out = np.empty(shape)
+        work(starts, 0, out, *args)
+        return out
+    # imported here: at the top they would slow `import mmsqc` and add to its RSS
+    import mmap
+    import multiprocessing
+
+    out = np.frombuffer(mmap.mmap(-1, 8 * int(np.prod(shape))), dtype=float).reshape(shape)
     bounds = np.minimum(np.linspace(0, grains, workers + 1).astype(int) * grain, n)
-    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(work, starts[a:b], int(a), *args)
+    # fork, so the workers inherit `out` (and the job) instead of a pickled copy
+    with concurrent.futures.ProcessPoolExecutor(
+            max_workers=workers, mp_context=multiprocessing.get_context("fork"),
+            initializer=_set_chunk_job, initargs=(work, starts, out, args)) as pool:
+        futures = [pool.submit(_run_chunk, int(a), int(b))
                    for a, b in zip(bounds[:-1], bounds[1:])]
     failures = [exc for exc in (fut.exception() for fut in futures) if exc is not None]
     if failures:
         raise min(failures, key=lambda exc: getattr(exc, "t", 0.0))
-    return np.concatenate([fut.result() for fut in futures])
+    return out
 
 
 def run_ensemble(model: SiteExcitonModel, n_traj: int, init_state: int, seed: int,
@@ -527,9 +555,10 @@ def run_ensemble(model: SiteExcitonModel, n_traj: int, init_state: int, seed: in
     """
     if n_traj < 1:
         raise ValueError("n_traj must be at least 1")
-    _grid_steps(t_end, record_dt, "t_end")   # fail before starting workers
+    n_rec = _grid_steps(t_end, record_dt, "t_end") + 1   # fail before starting workers
     Y0 = _sample_starts(model, n_traj, init_state, seed)
-    data = _map_chunks(_propagate_batch, Y0, workers, model, icfg, t_end, record_dt)
+    data = _map_chunks(_propagate_batch, Y0, (n_rec, model.dim), workers,
+                       model, icfg, record_dt)
     return TrajectoryEnsemble(record_dt, data, model.n_states,
                               model_label=model.label, seed=seed)
 

@@ -138,7 +138,7 @@ def test_fan_out_error_names_absolute_trajectory(workers):
     starts = _sample_starts(model, 6, 0, 2)
     starts[4, 0] = np.nan
     with pytest.raises(RolloutError) as err:
-        _map_chunks(_rollout_chunk, starts, workers, params, 6, 3)
+        _map_chunks(_rollout_chunk, starts, (7, model.dim), workers, params, 6, 3)
     assert err.value.trajectory == 4
     assert err.value.step == 1
 
@@ -169,7 +169,8 @@ def test_rollout_block_edges(n_traj, seed):
     starts[bad, 0] = np.nan
     for workers in (1, 2):
         with pytest.raises(RolloutError) as err:
-            _map_chunks(_rollout_chunk, starts, workers, params, 7, 4, grain=BLOCK)
+            _map_chunks(_rollout_chunk, starts, (8, model.dim), workers, params, 7, 4,
+                        grain=BLOCK)
         assert (err.value.step, err.value.trajectory) == (1, bad)
 
 
@@ -202,7 +203,7 @@ def test_rollout_error_names_first_failure_in_block(workers):
         steps.append(err.value.step)
     assert steps == [11, 2, 2]
     with pytest.raises(RolloutError) as err:
-        _map_chunks(_rollout_chunk, starts, workers, params, 20, 30, grain=BLOCK)
+        _map_chunks(_rollout_chunk, starts, (21, 2), workers, params, 20, 30, grain=BLOCK)
     assert (err.value.step, err.value.trajectory) == (2, early)
 
 

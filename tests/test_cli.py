@@ -161,6 +161,22 @@ def test_train_refuses_non_finite_learning_rate(tiny_pipeline, capsys, lr):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("source, lr", [("flag", "-1"), ("config", "nan"), ("config", -1)])
+def test_learning_rate_error_names_its_source(tmp_path, capsys, source, lr):
+    """The range check runs where the value is read, so a config value is
+    not blamed on a flag the user never passed."""
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"train": {"lr": lr} if source == "config" else {}}))
+    flags = ["--lr", lr] if source == "flag" else []
+    out = tmp_path / "bad.ckpt"
+    assert run("--config", config, "train", "--dataset", tmp_path / "none.seq",
+               *flags, "--out", out) == 2
+    name = "--lr" if source == "flag" else "config key train.lr"
+    message = f"{name} must be finite and non-negative, got {float(lr)}"
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_defaults_come_from_the_configs(tiny_pipeline):
     """Flags left out take the library configs' defaults."""
     tmp_path, paths = tiny_pipeline

@@ -1,7 +1,15 @@
+import gc
+import mmap
+import os
+import subprocess
+import sys
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import mmsqc
 from mmsqc import arrayio
 from mmsqc.models import HBAR_EV_FS, Mode, SiteExcitonModel, build_model
 from mmsqc.sqc import (
@@ -396,7 +404,7 @@ def test_run_ensemble_worker_invariance():
     model = build_model("I")
     icfg = IntegratorConfig(0.05)
     base = run_ensemble(model, 7, 0, 13, icfg, 5.0, 1.0, workers=1)
-    for workers in (2, 3):
+    for workers in (2, 3, 5):   # 5 outnumbers a small machine's cores
         other = run_ensemble(model, 7, 0, 13, icfg, 5.0, 1.0, workers=workers)
         assert np.array_equal(base.data, other.data)
 
@@ -409,8 +417,8 @@ def test_fan_out_error_names_absolute_trajectory(workers):
     Y0 = _sample_starts(model, 6, 0, 5)
     Y0[4, 0] = 1e200   # overflows within the first recording interval
     with pytest.raises(IntegrationError) as err:
-        _map_chunks(_propagate_batch, Y0, workers,
-                    model, IntegratorConfig(0.05), 2.0, 1.0)
+        _map_chunks(_propagate_batch, Y0, (3, model.dim), workers,
+                    model, IntegratorConfig(0.05), 1.0)
     assert err.value.trajectory == 4
     # trajectory 1 (amplified 50x) overflows by t = 2, trajectory 5 by t = 1;
     # amplified 100x, both overflow by t = 1
@@ -419,8 +427,8 @@ def test_fan_out_error_names_absolute_trajectory(workers):
         Y0[1, :4] *= factor
         Y0[5, 0] = 1e200
         with pytest.raises(IntegrationError) as err:
-            _map_chunks(_propagate_batch, Y0, workers,
-                        model, IntegratorConfig(0.05), 10.0, 1.0)
+            _map_chunks(_propagate_batch, Y0, (11, model.dim), workers,
+                        model, IntegratorConfig(0.05), 1.0)
         assert (err.value.t, err.value.trajectory, err.value.variable) == (t, trajectory, "x_e[0]")
     # no modes, no coupling: trajectory 0 fails only in state 1, trajectory 1
     # only in state 0, both by t = 1
@@ -428,8 +436,67 @@ def test_fan_out_error_names_absolute_trajectory(workers):
     Y0 = np.ones((2, none.dim))
     Y0[0, 3] = Y0[1, 2] = np.inf
     with pytest.raises(IntegrationError) as err:
-        _map_chunks(_propagate_batch, Y0, workers, none, IntegratorConfig(0.05), 2.0, 1.0)
+        _map_chunks(_propagate_batch, Y0, (3, none.dim), workers,
+                    none, IntegratorConfig(0.05), 1.0)
     assert (err.value.t, err.value.trajectory, err.value.variable) == (1.0, 0, "x_e[1]")
+
+
+MEMORY_PROBE = """
+import resource, sys
+from mmsqc.models import build_model
+from mmsqc.sqc import IntegratorConfig, ensemble_energies, run_ensemble
+
+model = build_model("I")
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+ens = run_ensemble(model, 3400, 0, 1, IntegratorConfig(0.5), 50.0, 1.0,
+                   workers=int(sys.argv[1]))
+ensemble_energies(model, ens)   # reads every record once more
+grown = (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before) * 1024
+print(grown / ens.data.nbytes)
+"""
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_fan_out_holds_one_copy_of_the_ensemble(workers):
+    """The parent's peak RSS grows by about one payload (3400 x 51 x 36
+    doubles, 50 MB) at any worker count: workers write in place, nothing is
+    sent back or stacked. Run in a fresh interpreter so that the high-water
+    mark starts from a clean import."""
+    src = os.path.dirname(os.path.dirname(mmsqc.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    probe = subprocess.run([sys.executable, "-c", MEMORY_PROBE, str(workers)], env=env,
+                           capture_output=True, text=True, check=True, timeout=300)
+    assert float(probe.stdout) < 1.5
+
+
+def test_shared_ensemble_outlives_its_pool(tmp_path):
+    """An ensemble from the worker fan-out is an ordinary array: C-contiguous,
+    writable float64, byte-equal to the one-worker result once the workers
+    have exited and after a collection, and through a save/load round trip.
+    Its shared mapping lives exactly as long as the array and its views."""
+    model = build_model("I")
+    icfg = IntegratorConfig(0.05)
+    shared = run_ensemble(model, 9, 0, 21, icfg, 4.0, 1.0, workers=2)
+    gc.collect()
+    base = run_ensemble(model, 9, 0, 21, icfg, 4.0, 1.0, workers=1)
+    data = shared.data
+    assert data.dtype == np.float64 and data.flags.c_contiguous and data.flags.writeable
+    assert data.tobytes() == base.data.tobytes()
+    path = str(tmp_path / "shared.traj")
+    shared.save(path)
+    assert TrajectoryEnsemble.load(path).data.tobytes() == base.data.tobytes()
+    owner = data
+    while isinstance(owner, np.ndarray):
+        owner = owner.base
+    mapping = weakref.ref(owner.obj)   # the memoryview's exporter
+    del shared, owner
+    gc.collect()
+    assert data.tobytes() == base.data.tobytes()   # the view keeps the mapping
+    data[0, 0, 0] += 1.0
+    assert isinstance(mapping(), mmap.mmap)
+    del data
+    gc.collect()
+    assert mapping() is None
 
 
 def test_run_ensemble_rejects_zero_trajectories():
