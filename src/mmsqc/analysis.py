@@ -45,8 +45,8 @@ class RolloutConfig:
     def __post_init__(self):
         if min(self.n_traj, self.total_steps) < 1 or self.seq_len < 2:
             raise ValueError("n_traj, total_steps must be >= 1 and seq_len >= 2")
-        if self.record_dt <= 0.0:
-            raise ValueError("record_dt must be positive")
+        if not 0.0 < self.record_dt < np.inf:   # also refuses nan
+            raise ValueError(f"record_dt must be finite and positive, got {self.record_dt}")
 
 
 BLOCK = 64   # trajectories replayed together; every GEMM has this many rows

@@ -34,11 +34,19 @@ def _learning_rate(text) -> float:
     return value
 
 
+def _positive_float(text) -> float:
+    value = float(text)
+    if not 0.0 < value < np.inf:   # also refuses nan
+        raise _OutOfRange(f"must be finite and positive, got {value}")
+    return value
+
+
 def _resolve(args: argparse.Namespace, config: dict, command: str, key: str,
              default, cast, positive: bool = False, env: str | None = None):
     """flags > config[command][key] > config[key] > environment variable `env`
     > default. A config value is cast from its JSON text, as if given as the
-    flag, so `2.7` or `true` is no integer. Errors name the value's source."""
+    flag, so `2.7` or `true` is no integer. Errors name the value's source.
+    `positive` is for integers; floats use a cast such as `_positive_float`."""
     value, source = getattr(args, key.replace("-", "_"), None), f"--{key}"
     section = config.get(command, {})
     if value is None and isinstance(section, dict):
@@ -101,9 +109,9 @@ def cmd_simulate(args, config) -> int:
     get = functools.partial(_resolve, args, config, "simulate")
     model = models.resolve_model(_require(get("model", None, str), "model"))
     n_traj = _require(get("ntraj", None, int, positive=True), "ntraj")
-    t_end = _require(get("t-end", None, float, positive=True), "t-end")
-    record_dt = get("record-dt", 1.0, float, positive=True)
-    dt = get("dt", sqc.IntegratorConfig.dt_internal, float, positive=True)
+    t_end = _require(get("t-end", None, _positive_float), "t-end")
+    record_dt = get("record-dt", 1.0, _positive_float)
+    dt = get("dt", sqc.IntegratorConfig.dt_internal, _positive_float)
     seed = get("seed", 0, int)
     workers = get("workers", 1, int, positive=True, env="MMSQC_WORKERS")
     init_state = _init_state_index(get("init-state", 1, int), model)
@@ -183,7 +191,7 @@ def cmd_rollout(args, config) -> int:
     ckpt_path = _require(get("checkpoint", None, str), "checkpoint")
     n_traj = _require(get("ntraj", None, int, positive=True), "ntraj")
     steps = _require(get("steps", None, int, positive=True), "steps")
-    record_dt = get("record-dt", analysis.RolloutConfig.record_dt, float, positive=True)
+    record_dt = get("record-dt", analysis.RolloutConfig.record_dt, _positive_float)
     seed = get("seed", 0, int)
     workers = get("workers", 1, int, positive=True, env="MMSQC_WORKERS")
     init_state = _init_state_index(get("init-state", 1, int), model)

@@ -94,6 +94,12 @@ def test_rollout_dimension_check():
         rollout_trajectory(np.zeros(5), params, 10, 5, n_states=1)
 
 
+@pytest.mark.parametrize("record_dt", [0.0, -1.0, float("nan"), float("inf")])
+def test_rollout_config_refuses_bad_record_dt(record_dt):
+    with pytest.raises(ValueError, match="record_dt must be finite and positive"):
+        RolloutConfig(n_traj=5, total_steps=12, seq_len=4, record_dt=record_dt)
+
+
 def test_rollout_ensemble_shapes_and_determinism():
     model = small_model()
     params = init_params(model.dim, 12, np.random.default_rng(6))

@@ -292,6 +292,31 @@ def test_bad_values_name_their_source(tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "x.traj").exists()
 
 
+@pytest.mark.parametrize("command, flag, value", [
+    ("simulate", "dt", "nan"), ("simulate", "t-end", "nan"), ("simulate", "t-end", "inf"),
+    ("simulate", "record-dt", "nan"), ("rollout", "record-dt", "nan"),
+    ("rollout", "record-dt", "inf")])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_non_finite_times_are_refused(tmp_path, capsys, command, flag, value, source):
+    """Time steps and spans must be finite and positive; the error names
+    where the value came from, and nothing is written."""
+    out = tmp_path / "x.traj"
+    args = {"simulate": ["--model", "I", "--ntraj", 2, "--t-end", 2, "--dt", 0.05],
+            "rollout": ["--model", "I", "--checkpoint", tmp_path / "none.ckpt",
+                        "--ntraj", 2, "--steps", 3]}[command]
+    if source == "flag":
+        argv, name = [command, *args, f"--{flag}", value], f"--{flag}"
+    else:
+        i = args.index(f"--{flag}") if f"--{flag}" in args else len(args)
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({command: {flag: value}}))
+        argv, name = ["--config", config, command, *args[:i], *args[i + 2:]], \
+            f"config key {command}.{flag}"
+    assert run(*argv, "--out", out) == 2
+    assert f"{name} must be finite and positive, got {float(value)}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_config_numbers_parse_like_flags(tmp_path):
     config = tmp_path / "run.json"
     config.write_text(json.dumps({"simulate": {"model": "I", "ntraj": 2, "t-end": 3,

@@ -31,6 +31,7 @@ from mmsqc.sqc import (
     unpack_state,
     window_assign,
     ensemble_energies,
+    _BathRK4,
     _Hamiltonian,
     _map_chunks,
     _propagate_batch,
@@ -74,8 +75,9 @@ def random_state(model, seed):
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        IntegratorConfig(dt_internal=0.0)
+    for dt in (0.0, -0.01, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="dt_internal must be finite and positive"):
+            IntegratorConfig(dt_internal=dt)
 
 
 def test_action_values():
@@ -256,6 +258,51 @@ def test_hamiltonian_matches_per_state_reference(model, n, seed):
     for j in range(n):
         want, scale = per_state_energy(model, Y[:, j], GAMMA)
         assert abs(energies[j] - want) <= 1e-12 * scale
+
+
+def reference_rk4(model, Y0, h, n_sub, n_rec):
+    """Classic RK4 on the full state through `_Hamiltonian._deriv`, four
+    stages of every row per substep: the reference for `_BathRK4`. Returns
+    the (n_rec, dim, n) states on the record grid."""
+    deriv = _Hamiltonian(model)._deriv
+    Y = np.array(Y0, dtype=float)
+    k1, k2, k3, k4 = (np.empty_like(Y) for _ in range(4))
+    records = [Y.copy()]
+    for _ in range(1, n_rec):
+        for _ in range(n_sub):
+            deriv(Y, k1)
+            deriv(Y + 0.5 * h * k1, k2)
+            deriv(Y + 0.5 * h * k2, k3)
+            deriv(Y + h * k3, k4)
+            Y += h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        records.append(Y.copy())
+    return np.array(records)
+
+
+@settings(max_examples=100, deadline=None)
+@given(model=custom_models(), n=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+@example(model=SiteExcitonModel("none", [[0.0, 0.05], [0.05, 0.0]], [[], []]), n=2, seed=0)
+@example(model=unequal_model(), n=3, seed=1)
+def test_bath_rk4_is_rk4_on_the_full_state(model, n, seed):
+    """The closed-form bath substep is RK4 on the full state up to roundoff;
+    a trajectory run alone gives the same bytes as in a batch; and the
+    stage-1 diagonal is `_diagonal` bit for bit."""
+    rng = np.random.default_rng(seed)
+    Y0 = rng.normal(size=(n, model.dim))
+    icfg, record_dt, n_rec = IntegratorConfig(0.05), 1.0, 4
+    out = np.empty((n, n_rec, model.dim))
+    _propagate_batch(Y0, 0, out, model, icfg, record_dt)
+    want = reference_rk4(model, Y0.T, 0.05, 20, n_rec).transpose(2, 0, 1)
+    assert np.max(np.abs(out - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+    i = seed % n
+    alone = np.empty((1, n_rec, model.dim))
+    _propagate_batch(Y0[i:i + 1], 0, alone, model, icfg, record_dt)
+    assert alone.tobytes() == out[i:i + 1].tobytes()
+    ham = _Hamiltonian(model)
+    Y = np.ascontiguousarray(Y0.T)
+    rk4 = _BathRK4(ham, 0.05, Y)
+    rk4.step()
+    assert rk4.diag[0].tobytes() == ham._diagonal(Y).tobytes()
 
 
 # ---------------------------------------------------------------------------
