@@ -17,7 +17,7 @@ from mmsqc.sqc import (
     _sample_starts,
     populations,
 )
-from mmsqc.surrogate import LstmParams, _unroll
+from mmsqc.surrogate import LstmParams, _fold_readout, _unroll
 
 
 class RolloutError(RuntimeError):
@@ -52,12 +52,14 @@ class RolloutConfig:
 BLOCK = 64   # trajectories replayed together; every GEMM has this many rows
 
 
-def _rollout_block(starts: np.ndarray, params: LstmParams, total_steps: int,
+def _rollout_block(starts: np.ndarray, params: LstmParams, fold, total_steps: int,
                    seq_len: int, out: np.ndarray, first: int = 0) -> None:
     """Chunked autoregression of up to BLOCK start vectors (n, D) as one
     batch, zero-padded to BLOCK rows. Writes (n, total_steps + 1, D), x0 at
-    step 0, into `out`. A non-finite step raises RolloutError naming the
-    trajectory (`first` + row) that fails first, lowest row on a tie."""
+    step 0, into `out`. Each chunk starts from the zero state on x0 or the
+    last forecast; its later steps run through `fold` = `_fold_readout(params)`.
+    A non-finite step raises RolloutError naming the trajectory (`first` +
+    row) that fails first, lowest row on a tie."""
     n = starts.shape[0]
     x = np.zeros((BLOCK, starts.shape[1]))
     x[:n] = starts
@@ -67,7 +69,7 @@ def _rollout_block(starts: np.ndarray, params: LstmParams, total_steps: int,
     with np.errstate(over="ignore", invalid="ignore"):
         while done < total_steps:
             chunk = out[:, done + 1:done + 1 + min(seq_len - 1, total_steps - done)]
-            x = _unroll(params, x, chunk)   # the last forecast seeds the next chunk
+            x = _unroll(params, x, chunk, fold=fold)   # the last forecast seeds the next chunk
             bad = ~np.all(np.isfinite(chunk), axis=2)            # (n, steps)
             if bad.any():
                 step = int(np.flatnonzero(bad.any(axis=0))[0])
@@ -79,20 +81,21 @@ def _rollout_block(starts: np.ndarray, params: LstmParams, total_steps: int,
 def rollout_trajectory(x0, params: LstmParams, total_steps: int, seq_len: int,
                        n_states: int, record_dt: float = 1.0) -> Trajectory:
     """Replay one trajectory from a single state vector. It runs as row 0 of
-    a padded block, so it pays for a whole block and equals, bit for bit,
-    any ensemble row that sits at position 0 of its block."""
+    a padded block through the same folded weights, so it pays for a whole
+    block and equals, bit for bit, any ensemble row that sits at position 0
+    of its block."""
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (params.dim,):
         raise ValueError(f"x0 has shape {x0.shape}, network expects ({params.dim},)")
     data = np.empty((1, total_steps + 1, params.dim))
-    _rollout_block(x0[None], params, total_steps, seq_len, data)
+    _rollout_block(x0[None], params, _fold_readout(params), total_steps, seq_len, data)
     return Trajectory(record_dt, data[0], n_states)
 
 
 def _rollout_chunk(starts: np.ndarray, offset: int, out: np.ndarray, params: LstmParams,
-                   total_steps: int, seq_len: int) -> None:
+                   fold, total_steps: int, seq_len: int) -> None:
     for a in range(0, starts.shape[0], BLOCK):
-        _rollout_block(starts[a:a + BLOCK], params, total_steps, seq_len,
+        _rollout_block(starts[a:a + BLOCK], params, fold, total_steps, seq_len,
                        out[a:a + BLOCK], offset + a)
 
 
@@ -110,7 +113,8 @@ def rollout_ensemble(model: SiteExcitonModel, params: LstmParams,
         )
     starts = _sample_starts(model, cfg.n_traj, cfg.init_state, cfg.seed)
     data = _map_chunks(_rollout_chunk, starts, (cfg.total_steps + 1, model.dim), cfg.workers,
-                       params, cfg.total_steps, cfg.seq_len, grain=BLOCK)
+                       params, _fold_readout(params), cfg.total_steps, cfg.seq_len,
+                       grain=BLOCK)
     return TrajectoryEnsemble(cfg.record_dt, data, model.n_states,
                               model_label=model.label, seed=cfg.seed)
 

@@ -41,6 +41,13 @@ def _positive_float(text) -> float:
     return value
 
 
+def _finite_float(text) -> float:
+    value = float(text)
+    if not -np.inf < value < np.inf:   # also refuses nan
+        raise _OutOfRange(f"must be finite, got {value}")
+    return value
+
+
 def _resolve(args: argparse.Namespace, config: dict, command: str, key: str,
              default, cast, positive: bool = False, env: str | None = None):
     """flags > config[command][key] > config[key] > environment variable `env`
@@ -230,21 +237,18 @@ def cmd_analyze(args, config) -> int:
         analysis.write_compare_csv(out, dev)
         print(f"mean abs deviation per state: "
               f"{', '.join(f'{v:.4f}' for v in dev.mean_abs)}")
-    elif what == "mae":
+    elif what == "mae":   # the times are checked before any file is read
+        times = get("slices", [20.0, 40.0, 60.0, 80.0, 100.0],
+                    lambda text: [_finite_float(item) for item in text.split(",") if item])
         pred = sqc.TrajectoryEnsemble.load(_require(get("pred", None, str), "pred"))
         ref = sqc.TrajectoryEnsemble.load(_require(get("ref", None, str), "ref"))
-        slices = _require(get("slices", "20,40,60,80,100", str), "slices")
-        try:
-            times = [float(s) for s in slices.split(",") if s]
-        except ValueError:
-            raise UsageError(f"bad --slices list: {slices!r}") from None
         analysis.write_mae_csv(out, analysis.dof_mae(pred, ref, times))
     elif what == "hist":
-        ensemble = sqc.TrajectoryEnsemble.load(_require(get("ensemble", None, str), "ensemble"))
         var = _require(get("var", None, int), "var")
         bins = get("bins", 50, int, positive=True)
-        lo = get("min", -3.0, float)
-        hi = get("max", 3.0, float)
+        lo = get("min", -3.0, _finite_float)
+        hi = get("max", 3.0, _finite_float)
+        ensemble = sqc.TrajectoryEnsemble.load(_require(get("ensemble", None, str), "ensemble"))
         hist = analysis.coordinate_histogram(ensemble, var, bins, (lo, hi))
         analysis.write_histogram_csv(out, hist)
     else:  # pragma: no cover - argparse restricts choices

@@ -10,8 +10,10 @@ read-out y_{t-1} (D-dimensional feedback). One LSTM layer, linear read-out:
 
 Backpropagation through time follows the same unrolling, including the
 gradient path through fed-back outputs. All weights live in one flat vector,
-in which the four gates form stacked (4H, .) row blocks, so each cell step is
-two matmuls and the optimizer and checkpoints work on that vector whole.
+in which the four gates form stacked (4H, .) row blocks, so a training cell
+step is one matmul per input (x and h); replay folds the read-out into the
+recurrence, one matmul per step after the first. BPTT forms each weight
+gradient with one matmul over all steps of a time-major forward record.
 """
 
 import time
@@ -91,48 +93,88 @@ def init_params(dim: int, hidden: int, rng: np.random.Generator) -> LstmParams:
     return params
 
 
-def _sigmoid(z):
+def _sigmoid(z: np.ndarray) -> None:
+    """z <- 1 / (1 + exp(-z)), in place."""
     # exp may overflow for strongly negative z; the result saturates to 0 exactly
     with np.errstate(over="ignore"):
-        return 1.0 / (1.0 + np.exp(-z))
+        np.exp(np.negative(z, out=z), out=z)
+    z += 1.0
+    np.divide(1.0, z, out=z)
 
 
-def _cell(params: LstmParams, x, h, c, zero_state: bool = False):
-    """One cell step on (B, .) arrays; returns (h', c', cache). With
-    zero_state, h is all zeros and the U4 h matmul (which adds zeros) is
-    skipped."""
+def _cell(params: LstmParams, x, h, c, out=None, fold=None):
+    """One cell step on (B, .) arrays; returns (h', c', gates), gates being
+    the activations i|f|o|g (B, 4H), written into the buffers `out` if given.
+    h is None at the zero state (the first step): no U4 h matmul. With fold =
+    `_fold_readout(params)` the input is the previous read-out, z = h U4'^T +
+    b4', and x is not read."""
     H = params.hidden
-    z = x @ params.W4.T
-    if not zero_state:
-        z += h @ params.U4.T
-    z += params.b4
-    i = _sigmoid(z[:, :H])
-    f = _sigmoid(z[:, H:2 * H])
-    o = _sigmoid(z[:, 2 * H:3 * H])
+    z, h_new, c_new = out if out is not None else (
+        np.empty((c.shape[0], 4 * H)), np.empty_like(c), np.empty_like(c))
+    if fold is not None:
+        np.matmul(h, fold[0].T, out=z)
+        z += fold[1]
+    else:
+        np.matmul(x, params.W4.T, out=z)
+        if h is not None:
+            z += h @ params.U4.T
+        z += params.b4
+    # elementwise passes run fastest over whole contiguous rows: the sigmoid
+    # covers all of z, and the g block is then overwritten with tanh
     g = np.tanh(z[:, 3 * H:])
-    c_new = f * c + i * g
-    tanh_c = np.tanh(c_new)
-    h_new = o * tanh_c
-    cache = {"x": x, "h_prev": h, "c_prev": c, "i": i, "f": f, "o": o, "g": g,
-             "tanh_c": tanh_c, "h": h_new}
-    return h_new, c_new, cache
+    _sigmoid(z)
+    z[:, 3 * H:] = g
+    i, f, o = z[:, :H], z[:, H:2 * H], z[:, 2 * H:3 * H]
+    np.multiply(f, c, out=c_new)
+    c_new += i * g
+    np.multiply(o, np.tanh(c_new), out=h_new)
+    return h_new, c_new, z
+
+
+def _fold_readout(params: LstmParams) -> tuple[np.ndarray, np.ndarray]:
+    """(U4 + W4 W_d, b4 + W4 b_d): for an input y = W_d h + b_d, the previous
+    read-out, W4 y + U4 h + b4 = h U4'^T + b4', one matmul in place of two.
+    Replay folds once per call; training needs the inputs for BPTT anyway."""
+    return params.U4 + params.W4 @ params.W_d, params.b4 + params.W4 @ params.b_d
+
+
+@dataclass(frozen=True)
+class ForwardRecord:
+    """One batched forward pass, time-major, for `backward`. Step t reads x[t]
+    (x0, then the previous read-out), h[t] and c[t] (row 0 is zero), and
+    writes gates[t] (i|f|o|g), h[t+1], c[t+1] and its read-out x[t+1].
+    `record[:n]` is what a forward pass of n steps records."""
+
+    x: np.ndarray       # (L, B, D)
+    gates: np.ndarray   # (L-1, B, 4H)
+    h: np.ndarray       # (L, B, H)
+    c: np.ndarray       # (L, B, H)
+
+    def __len__(self) -> int:
+        return len(self.gates)
+
+    def __getitem__(self, steps: slice) -> "ForwardRecord":
+        start, stop, stride = steps.indices(len(self))
+        if start != 0 or stride != 1:
+            raise ValueError("a forward record slices only as record[:n]")
+        return ForwardRecord(self.x[:stop + 1], self.gates[:stop], self.h[:stop + 1],
+                             self.c[:stop + 1])
 
 
 def _unroll(params: LstmParams, x0: np.ndarray, out: np.ndarray,
-            caches: list | None = None) -> np.ndarray:
+            record: ForwardRecord | None = None, fold=None) -> np.ndarray:
     """Unroll out.shape[1] cell steps from x0 (B, D) with h = c = 0 and write
     read-out t to out[:, t]. `out` may hold fewer rows than x0: the extra
-    (padding) rows are computed but not stored. Appends each step's BPTT
-    cache to `caches` if one is given. Returns the last read-out (B, D)."""
-    h = np.zeros((x0.shape[0], params.hidden))
-    c = np.zeros_like(h)
-    x = x0
+    (padding) rows are computed but not stored. With a `record`, each step
+    writes its gates and states into it; `fold` (replay only) runs steps
+    1.. through the folded read-out. Returns the last read-out (B, D)."""
+    c = np.zeros((x0.shape[0], params.hidden)) if record is None else record.c[0]
+    h, x = None, x0
     for t in range(out.shape[1]):
-        h, c, cache = _cell(params, x, h, c, zero_state=t == 0)
+        buffers = None if record is None else (record.gates[t], record.h[t + 1], record.c[t + 1])
+        h, c, _ = _cell(params, x, h, c, buffers, fold if t else None)
         x = h @ params.W_d.T + params.b_d
         out[:, t] = x[:out.shape[0]]
-        if caches is not None:
-            caches.append(cache)
     return x
 
 
@@ -144,8 +186,9 @@ def one_to_many_forward(x0, seq_len: int, params: LstmParams):
     """Unroll the network from a single input: y_1 .. y_{L-1}.
 
     x0 is (D,) or (B, D); outputs are (L-1, D) or (B, L-1, D), plus the
-    per-step caches that `backward` needs. Step 1 consumes x0, later steps
-    consume the previous read-out; h and c start at zero.
+    `ForwardRecord` that `backward` needs. Step 1 consumes x0, later steps
+    consume the previous read-out; h and c start at zero. The outputs are a
+    view of the record's time-major x[1:].
     """
     if seq_len < 2:
         raise ValueError("seq_len must be at least 2")
@@ -155,10 +198,15 @@ def one_to_many_forward(x0, seq_len: int, params: LstmParams):
     single = x.ndim == 1
     if single:
         x = x[None]
-    ys = np.empty((x.shape[0], seq_len - 1, params.dim))
-    caches = []
-    _unroll(params, x, ys, caches)
-    return (ys[0] if single else ys), caches
+    B, H = x.shape[0], params.hidden
+    record = ForwardRecord(np.empty((seq_len, B, params.dim)),
+                           np.empty((seq_len - 1, B, 4 * H)),
+                           np.empty((seq_len, B, H)), np.empty((seq_len, B, H)))
+    record.x[0] = x
+    record.h[0] = record.c[0] = 0.0
+    ys = record.x[1:].swapaxes(0, 1)
+    _unroll(params, x, ys, record)
+    return (ys[0] if single else ys), record
 
 
 def sequence_loss(pred, target) -> float:
@@ -171,72 +219,71 @@ def sequence_loss(pred, target) -> float:
     return float(np.mean(diff * diff))
 
 
-def backward(caches: list, loss_grads, params: LstmParams,
+def backward(record: ForwardRecord, loss_grads, params: LstmParams,
              out: LstmParams | None = None) -> LstmParams:
     """Exact gradients of the unrolled network w.r.t. every parameter.
 
-    `caches` come from `one_to_many_forward`, whose first step starts from
-    h = c = 0. `loss_grads` is dLoss/dy per step, same shape as the forward
-    outputs.
+    `record` comes from `one_to_many_forward` and is left unchanged.
+    `loss_grads` is dLoss/dy per step, same shape as the forward outputs.
     Gradients flowing through fed-back outputs are included. Batched inputs
-    accumulate (sum) over the batch. If `out` is given, it is zeroed, filled
-    and returned, so a training loop can reuse one gradient vector.
+    accumulate (sum) over the batch: each weight gradient is one matmul over
+    all steps and sequences. If `out` is given, it is filled and returned,
+    so a training loop can reuse one gradient vector.
     """
     dY = np.asarray(loss_grads, dtype=float)
-    if not caches:
-        raise ValueError("no forward caches supplied")
+    if not record:
+        raise ValueError("no forward record supplied")
     if dY.ndim == 2:
         dY = dY[None]
-    if dY.ndim != 3 or dY.shape[1] != len(caches):
-        raise ValueError(
-            f"loss_grads shape {loss_grads.shape if hasattr(loss_grads, 'shape') else '?'} "
-            f"does not match {len(caches)} cached steps"
-        )
-    B, steps, _ = dY.shape
-    H = params.hidden
+    steps, B = record.gates.shape[:2]
+    D, H = params.dim, params.hidden
+    if dY.shape != (B, steps, D) or record.h.shape[2] != H:
+        raise ValueError(f"loss_grads {dY.shape} and D={D}, H={H} do not match a record "
+                         f"of {steps} steps, {B} sequences and H={record.h.shape[2]}")
     if out is None:
-        grads = LstmParams.zeros(params.dim, H)
-    elif (out.dim, out.hidden) != (params.dim, H):
+        grads = LstmParams.zeros(D, H)
+    elif (out.dim, out.hidden) != (D, H):
         raise ValueError(f"out has D={out.dim}, H={out.hidden}; "
-                         f"params have D={params.dim}, H={H}")
+                         f"params have D={D}, H={H}")
     else:
         grads = out
-        grads.flat.fill(0.0)
-    prod = np.empty_like(grads.U4) if steps > 1 else None   # one U4 product
-    dx_next = None
-    dh_next = np.zeros((B, H))
-    dc_next = np.zeros((B, H))
+    gates, c = record.gates, record.c
+    dz = np.empty_like(gates)           # (steps, B, 4H), i|f|o|g as the gates
+    dy = np.empty((steps, B, D))        # dLoss/dy_t, fed-back path included
+    dx_next = dh_next = dc_next = 0.0   # the last step feeds nothing
 
     for t in range(steps - 1, -1, -1):
-        cache = caches[t]
-        x, h_prev, c_prev = cache["x"], cache["h_prev"], cache["c_prev"]
-        i, f, o, g = cache["i"], cache["f"], cache["o"], cache["g"]
-        tanh_c, h = cache["tanh_c"], cache["h"]
+        i, f, o, g = (gates[t, :, k * H:(k + 1) * H] for k in range(4))
+        tanh_c = np.tanh(c[t + 1])
+        # feedback: this output fed the next step's input
+        np.add(dY[:, t], dx_next, out=dy[t])
+        dh = dy[t] @ params.W_d + dh_next
 
-        dy = dY[:, t, :]
-        if dx_next is not None:
-            dy = dy + dx_next   # feedback: this output fed the next step's input
-        grads.W_d += dy.T @ h
-        grads.b_d += dy.sum(axis=0)
-        dh = dy @ params.W_d + dh_next
-
-        do = dh * tanh_c
         dc = dc_next + dh * o * (1.0 - tanh_c**2)
-        dz = np.empty((B, 4 * H))
-        dz[:, :H] = (dc * g) * i * (1.0 - i)
-        dz[:, H:2 * H] = (dc * c_prev) * f * (1.0 - f)
-        dz[:, 2 * H:3 * H] = do * o * (1.0 - o)
-        dz[:, 3 * H:] = (dc * i) * (1.0 - g**2)
-
-        grads.W4 += dz.T @ x
-        grads.b4 += dz.sum(axis=0)
+        # gate derivatives a(1 - a) over whole rows, then 1 - g^2 for the g block
+        d = dz[t]
+        np.subtract(1.0, gates[t], out=d)
+        d *= gates[t]
+        np.subtract(1.0, g * g, out=d[:, 3 * H:])
+        d[:, :H] *= dc * g
+        d[:, H:2 * H] *= dc * c[t]
+        d[:, 2 * H:3 * H] *= dh * tanh_c
+        d[:, 3 * H:] *= dc * i
         if t == 0:
-            break   # step 0 starts from h = c = 0: no U4 term, no earlier step
-        grads.U4 += np.matmul(dz.T, h_prev, out=prod)
+            break   # step 0 starts from h = c = 0: nothing earlier
         dc_next = dc * f
-        dx_next = dz @ params.W4
-        dh_next = dz @ params.U4
+        dx_next = d @ params.W4
+        dh_next = d @ params.U4
 
+    # one matmul per weight over every (step, sequence) row
+    rows = steps * B
+    dz, dy = dz.reshape(rows, 4 * H), dy.reshape(rows, D)
+    np.matmul(dz.T, record.x[:steps].reshape(rows, D), out=grads.W4)
+    # step 0 starts from h = 0 and adds no U4 term (U4 is zero when L = 2)
+    np.matmul(dz[B:].T, record.h[1:steps].reshape(rows - B, H), out=grads.U4)
+    np.sum(dz, axis=0, out=grads.b4)
+    np.matmul(dy.T, record.h[1:steps + 1].reshape(rows, H), out=grads.W_d)
+    np.sum(dy, axis=0, out=grads.b_d)
     return grads
 
 
@@ -372,15 +419,16 @@ def train(dataset: SequenceDataset, cfg: TrainConfig,
         epoch_sq = 0.0
         for batch_no, start in enumerate(range(0, dataset.n_train, cfg.batch_size)):
             seqs = dataset.train[order[start:start + cfg.batch_size]]
-            ys, caches = one_to_many_forward(seqs[:, 0, :], cfg.seq_len, params)
+            ys, record = one_to_many_forward(seqs[:, 0, :], cfg.seq_len, params)
             targets = seqs[:, 1:, :]
             loss = sequence_loss(ys, targets)
             if not np.isfinite(loss):
                 raise TrainDivergedError(epoch, batch_no)
             epoch_sq += loss * seqs.shape[0]
-            dY = (2.0 / ys.size) * (ys - targets)
-            backward(caches, dY, params, out=grads)
-            del ys, caches, dY, seqs, targets   # free the batch before the next forward
+            dY = np.subtract(ys, targets, out=targets)   # seqs is this batch's own copy
+            dY *= 2.0 / ys.size
+            backward(record, dY, params, out=grads)
+            del ys, record, dY, seqs, targets   # free the batch before the next forward
             params, adam = adam_step(params, grads, adam, cfg.learning_rate,
                                      cfg.beta1, cfg.beta2, cfg.eps)
         train_losses.append(epoch_sq / dataset.n_train)

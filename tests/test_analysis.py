@@ -33,7 +33,7 @@ from mmsqc.sqc import (
     _sample_starts,
 )
 from mmsqc.streams import substream
-from mmsqc.surrogate import LstmParams, init_params, one_to_many_forward
+from mmsqc.surrogate import LstmParams, _fold_readout, init_params, one_to_many_forward
 
 
 def small_model():
@@ -77,15 +77,56 @@ def test_rollout_counts_and_values(seq_len, total_steps):
     assert np.allclose(traj.data, manual_rollout(x0, params, total_steps, seq_len), atol=0)
 
 
+def folded_chunk(x0, params, steps):
+    """One replay chunk written out step by step: the first step reads x0
+    from the zero state, later steps run z = h U4'^T + b4' with
+    U4' = U4 + W4 W_d and b4' = b4 + W4 b_d. Returns the read-outs."""
+    H = params.hidden
+    U4f, b4f = params.U4 + params.W4 @ params.W_d, params.b4 + params.W4 @ params.b_d
+    sig = lambda z: 1.0 / (1.0 + np.exp(-z))
+    h = c = np.zeros((x0.shape[0], H))
+    ys = []
+    for t in range(steps):
+        if t == 0:
+            z = x0 @ params.W4.T
+            z += params.b4
+        else:
+            z = h @ U4f.T
+            z += b4f
+        i, f, o = sig(z[:, :H]), sig(z[:, H:2 * H]), sig(z[:, 2 * H:3 * H])
+        c = f * c + i * np.tanh(z[:, 3 * H:])
+        h = o * np.tanh(c)
+        ys.append(h @ params.W_d.T + params.b_d)
+    return np.stack(ys, axis=1)
+
+
 def test_rollout_single_chunk_is_one_forward_pass():
-    """A lone trajectory replays as row 0 of a zero-padded BLOCK-row batch."""
+    """A lone trajectory replays as row 0 of a zero-padded BLOCK-row batch.
+    Its first step is the training forward's, bit for bit; the later steps
+    run through the folded read-out, bit for bit as written out above."""
     params = init_params(4, 8, np.random.default_rng(3))
     x0 = np.random.default_rng(4).normal(size=4)
     traj = rollout_trajectory(x0, params, 4, 5, n_states=1)
     padded = np.zeros((BLOCK, 4))
     padded[0] = x0
     ys, _ = one_to_many_forward(padded, 5, params)
-    assert np.array_equal(traj.data[1:], ys[0])
+    assert np.array_equal(traj.data[1], ys[0, 0])
+    assert traj.data[1:].tobytes() == folded_chunk(padded, params, 4)[0].tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(dim=st.integers(1, 8), hidden=st.integers(1, 12), seq_len=st.integers(2, 12),
+       total_steps=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
+def test_folded_replay_matches_unfolded_forward(dim, hidden, seq_len, total_steps, seed):
+    """Folding the read-out into the recurrence changes roundoff only."""
+    rng = np.random.default_rng(seed)
+    params = init_params(dim, hidden, rng)
+    params.b4[:] = rng.normal(size=params.b4.shape)
+    params.b_d[:] = rng.normal(size=params.b_d.shape)
+    x0 = rng.normal(size=dim)
+    folded = rollout_trajectory(x0, params, total_steps, seq_len, n_states=1).data
+    unfolded = manual_rollout(x0, params, total_steps, seq_len)
+    assert np.max(np.abs(folded - unfolded)) <= 1e-12 * np.max(np.abs(unfolded))
 
 
 def test_rollout_dimension_check():
@@ -144,7 +185,8 @@ def test_fan_out_error_names_absolute_trajectory(workers):
     starts = _sample_starts(model, 6, 0, 2)
     starts[4, 0] = np.nan
     with pytest.raises(RolloutError) as err:
-        _map_chunks(_rollout_chunk, starts, (7, model.dim), workers, params, 6, 3)
+        _map_chunks(_rollout_chunk, starts, (7, model.dim), workers, params,
+                    _fold_readout(params), 6, 3)
     assert err.value.trajectory == 4
     assert err.value.step == 1
 
@@ -175,8 +217,8 @@ def test_rollout_block_edges(n_traj, seed):
     starts[bad, 0] = np.nan
     for workers in (1, 2):
         with pytest.raises(RolloutError) as err:
-            _map_chunks(_rollout_chunk, starts, (8, model.dim), workers, params, 7, 4,
-                        grain=BLOCK)
+            _map_chunks(_rollout_chunk, starts, (8, model.dim), workers, params,
+                        _fold_readout(params), 7, 4, grain=BLOCK)
         assert (err.value.step, err.value.trajectory) == (1, bad)
 
 
@@ -209,7 +251,8 @@ def test_rollout_error_names_first_failure_in_block(workers):
         steps.append(err.value.step)
     assert steps == [11, 2, 2]
     with pytest.raises(RolloutError) as err:
-        _map_chunks(_rollout_chunk, starts, (21, 2), workers, params, 20, 30, grain=BLOCK)
+        _map_chunks(_rollout_chunk, starts, (21, 2), workers, params, _fold_readout(params),
+                    20, 30, grain=BLOCK)
     assert (err.value.step, err.value.trajectory) == (2, early)
 
 

@@ -317,6 +317,29 @@ def test_non_finite_times_are_refused(tmp_path, capsys, command, flag, value, so
     assert not out.exists()
 
 
+@pytest.mark.parametrize("what, flag, value, shown", [
+    ("hist", "min", "nan", "nan"), ("hist", "max", "inf", "inf"),
+    ("hist", "min", "-inf", "-inf"), ("mae", "slices", "nan", "nan"),
+    ("mae", "slices", "20,inf", "inf")])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_non_finite_analysis_ranges_are_refused(tmp_path, capsys, what, flag, value, shown,
+                                                source):
+    """Histogram bounds and MAE times must be finite. The error names where
+    the value came from, and it comes before any file is read."""
+    out = tmp_path / "x.csv"
+    args = {"hist": ["--ensemble", tmp_path / "none.traj", "--var", 0],
+            "mae": ["--pred", tmp_path / "none.traj", "--ref", tmp_path / "none.traj"]}[what]
+    if source == "flag":
+        argv, name = ["analyze", what, *args, f"--{flag}={value}"], f"--{flag}"
+    else:
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"analyze": {flag: value}}))
+        argv, name = ["--config", config, "analyze", what, *args], f"config key analyze.{flag}"
+    assert run(*argv, "--out", out) == 2
+    assert f"{name} must be finite, got {shown}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_config_numbers_parse_like_flags(tmp_path):
     config = tmp_path / "run.json"
     config.write_text(json.dumps({"simulate": {"model": "I", "ntraj": 2, "t-end": 3,

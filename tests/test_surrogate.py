@@ -97,17 +97,17 @@ def test_cell_shape_mismatch():
 
 
 def test_cell_zero_state_matches_explicit_zeros():
-    """zero_state (the first step) skips the U4 h matmul; the step is the one
-    that the full matmul on zero arrays gives, byte for byte."""
+    """The zero state (h = None, the first step) skips the U4 h matmul; the
+    step is the one that the full matmul on zero arrays gives, byte for
+    byte."""
     params = random_params(3, 4, 2)
     x = np.random.default_rng(6).normal(size=(5, 3))
     zeros = np.zeros((5, 4))
-    h1, c1, cache1 = _cell(params, x, zeros, zeros)
-    h0, c0, cache0 = _cell(params, x, zeros, zeros, zero_state=True)
+    h1, c1, gates1 = _cell(params, x, zeros, zeros)
+    h0, c0, gates0 = _cell(params, x, None, zeros)
     assert h0.tobytes() == h1.tobytes()
     assert c0.tobytes() == c1.tobytes()
-    for name in "ifog":
-        assert cache0[name].tobytes() == cache1[name].tobytes()
+    assert gates0.tobytes() == gates1.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -253,6 +253,128 @@ def test_backward_out_is_the_same_gradient(dim, hidden, seq_len, batch, seed):
     assert buf.flat.tobytes() == backward(caches, dY, params).flat.tobytes()
     if seq_len == 2:   # the one step starts from h = 0, so U4 gets no term
         assert buf.U4.tobytes() == bytes(buf.U4.nbytes)
+
+
+def reference_forward(x0, seq_len, params):
+    """The per-step forward of earlier versions: fresh arrays for every gate
+    and state, one dict of them per step."""
+    H = params.hidden
+    sig = lambda z: 1.0 / (1.0 + np.exp(-z))
+    x, h, c = x0, np.zeros((x0.shape[0], H)), np.zeros((x0.shape[0], H))
+    ys, caches = [], []
+    for t in range(seq_len - 1):
+        z = x @ params.W4.T
+        if t:
+            z += h @ params.U4.T
+        z += params.b4
+        i, f, o = sig(z[:, :H]), sig(z[:, H:2 * H]), sig(z[:, 2 * H:3 * H])
+        g = np.tanh(z[:, 3 * H:])
+        c_new = f * c + i * g
+        tanh_c = np.tanh(c_new)
+        h_new = o * tanh_c
+        caches.append({"x": x, "h_prev": h, "c_prev": c, "i": i, "f": f, "o": o, "g": g,
+                       "tanh_c": tanh_c, "h": h_new})
+        h, c = h_new, c_new
+        x = h @ params.W_d.T + params.b_d
+        ys.append(x)
+    return np.stack(ys, axis=1), caches
+
+
+def reference_backward(caches, dY, params):
+    """The per-step BPTT of earlier versions: every weight gradient is
+    accumulated one step at a time from per-step caches."""
+    B, steps, _ = dY.shape
+    H = params.hidden
+    grads = LstmParams.zeros(params.dim, H)
+    dx_next = None
+    dh_next = np.zeros((B, H))
+    dc_next = np.zeros((B, H))
+    for t in range(steps - 1, -1, -1):
+        cache = caches[t]
+        i, f, o, g = cache["i"], cache["f"], cache["o"], cache["g"]
+        tanh_c = cache["tanh_c"]
+        dy = dY[:, t, :]
+        if dx_next is not None:
+            dy = dy + dx_next
+        grads.W_d += dy.T @ cache["h"]
+        grads.b_d += dy.sum(axis=0)
+        dh = dy @ params.W_d + dh_next
+        do = dh * tanh_c
+        dc = dc_next + dh * o * (1.0 - tanh_c**2)
+        dz = np.empty((B, 4 * H))
+        dz[:, :H] = (dc * g) * i * (1.0 - i)
+        dz[:, H:2 * H] = (dc * cache["c_prev"]) * f * (1.0 - f)
+        dz[:, 2 * H:3 * H] = do * o * (1.0 - o)
+        dz[:, 3 * H:] = (dc * i) * (1.0 - g**2)
+        grads.W4 += dz.T @ cache["x"]
+        grads.b4 += dz.sum(axis=0)
+        if t == 0:
+            break
+        grads.U4 += dz.T @ cache["h_prev"]
+        dc_next = dc * f
+        dx_next = dz @ params.W4
+        dh_next = dz @ params.U4
+    return grads
+
+
+@settings(max_examples=60, deadline=None)
+@given(dim=st.integers(1, 6), hidden=st.integers(1, 8), seq_len=st.integers(2, 7),
+       batch=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
+@example(dim=1, hidden=1, seq_len=2, batch=1, seed=0)
+def test_record_and_batched_bptt_match_per_step_reference(dim, hidden, seq_len, batch, seed):
+    """The time-major record holds the per-step forward bit for bit, the
+    outputs are unchanged, and the time-batched gradients agree with the
+    per-step accumulation to roundoff. `backward` leaves the record as it
+    found it, so a second call gives the same bytes."""
+    rng = np.random.default_rng(seed)
+    params = random_params(dim, hidden, seed)
+    params.b4[:] = rng.normal(size=params.b4.shape)
+    params.b_d[:] = rng.normal(size=params.b_d.shape)
+    x0 = rng.normal(size=(batch, dim))
+    ys, record = one_to_many_forward(x0, seq_len, params)
+    ref_ys, caches = reference_forward(x0, seq_len, params)
+    assert ys.tobytes() == ref_ys.tobytes()
+    H = hidden
+    for t, cache in enumerate(caches):
+        gates = np.concatenate([cache[k] for k in "ifog"], axis=1)
+        assert record.gates[t].tobytes() == gates.tobytes()
+        assert record.x[t].tobytes() == np.ascontiguousarray(cache["x"]).tobytes()
+        assert record.h[t + 1].tobytes() == cache["h"].tobytes()
+        assert record.c[t].tobytes() == cache["c_prev"].tobytes()
+        assert np.tanh(record.c[t + 1]).tobytes() == cache["tanh_c"].tobytes()
+    assert not record.h[0].any()
+    assert record.gates.shape == (seq_len - 1, batch, 4 * H)
+
+    dY = rng.normal(size=ys.shape)
+    before = [a.tobytes() for a in (record.x, record.gates, record.h, record.c)]
+    grads = backward(record, dY, params)
+    assert [a.tobytes() for a in (record.x, record.gates, record.h, record.c)] == before
+    assert backward(record, dY, params).flat.tobytes() == grads.flat.tobytes()
+    ref = reference_backward(caches, dY, params)
+    for name in TENSOR_FIELDS:
+        a, b = getattr(grads, name), getattr(ref, name)
+        assert np.max(np.abs(a - b), initial=0.0) <= 1e-12 * max(np.max(np.abs(b), initial=0.0),
+                                                                 1e-300), name
+
+
+def test_record_prefix_is_a_shorter_forward():
+    """record[:n] is what a forward pass of n steps records, so `backward`
+    on it gives that pass's gradient; other slices are refused."""
+    params = random_params(4, 5, 43)
+    rng = np.random.default_rng(44)
+    x0 = rng.normal(size=(3, 4))
+    ys, record = one_to_many_forward(x0, 6, params)
+    short_ys, short = one_to_many_forward(x0, 4, params)
+    assert len(record[:3]) == 3
+    assert ys[:, :3].tobytes() == short_ys.tobytes()
+    for name in ("x", "gates", "h", "c"):
+        assert getattr(record[:3], name).tobytes() == getattr(short, name).tobytes(), name
+    dY = rng.normal(size=short_ys.shape)
+    assert (backward(record[:3], dY, params).flat.tobytes()
+            == backward(short, dY, params).flat.tobytes())
+    for bad in (slice(1, None), slice(None, None, 2)):
+        with pytest.raises(ValueError):
+            record[bad]
 
 
 # memory: one parameter vector at D = 36, H = 256 is 2.47 MB
@@ -455,6 +577,31 @@ def test_train_deterministic():
     assert np.array_equal(r1.train_loss, r2.train_loss)
     assert np.array_equal(r1.val_loss, r2.val_loss)
     assert r1.best_epoch == r2.best_epoch
+
+
+def test_train_batches_are_the_public_steps():
+    """`train` runs each batch as one_to_many_forward, backward of the mean
+    squared error and adam_step, byte for byte: two epochs of two batches
+    replayed by hand give the same weights and losses."""
+    ds = tiny_dataset(seed=4)
+    ds.train[:] += np.random.default_rng(5).normal(scale=0.1, size=ds.train.shape)
+    cfg = TrainConfig(seq_len=5, hidden=6, learning_rate=1e-2, batch_size=5,
+                      epochs=2, seed=8)
+    trained, report = train(ds, cfg)
+    params = init_params(4, 6, substream(8, "init"))
+    state = AdamState.zeros(4, 6)
+    for epoch in range(2):
+        order = substream(8, "batch", epoch).permutation(ds.n_train)
+        sq = 0.0
+        for start in range(0, ds.n_train, 5):
+            seqs = ds.train[order[start:start + 5]]
+            ys, record = one_to_many_forward(seqs[:, 0, :], 5, params)
+            sq += sequence_loss(ys, seqs[:, 1:, :]) * len(seqs)
+            grads = backward(record, (2.0 / ys.size) * (ys - seqs[:, 1:, :]), params)
+            params, state = adam_step(params, grads, state, 1e-2)
+        assert sq / ds.n_train == report.train_loss[epoch]
+    assert report.best_epoch == 1
+    assert trained.flat.tobytes() == params.flat.tobytes()
 
 
 def test_train_aborts_on_nan_with_context():
