@@ -48,6 +48,13 @@ def _finite_float(text) -> float:
     return value
 
 
+def _time_list(text) -> list[float]:
+    times = [_finite_float(item) for item in text.split(",") if item]
+    if not times:
+        raise _OutOfRange("must name at least one time")
+    return times
+
+
 def _resolve(args: argparse.Namespace, config: dict, command: str, key: str,
              default, cast, positive: bool = False, env: str | None = None):
     """flags > config[command][key] > config[key] > environment variable `env`
@@ -238,8 +245,7 @@ def cmd_analyze(args, config) -> int:
         print(f"mean abs deviation per state: "
               f"{', '.join(f'{v:.4f}' for v in dev.mean_abs)}")
     elif what == "mae":   # the times are checked before any file is read
-        times = get("slices", [20.0, 40.0, 60.0, 80.0, 100.0],
-                    lambda text: [_finite_float(item) for item in text.split(",") if item])
+        times = get("slices", [20.0, 40.0, 60.0, 80.0, 100.0], _time_list)
         pred = sqc.TrajectoryEnsemble.load(_require(get("pred", None, str), "pred"))
         ref = sqc.TrajectoryEnsemble.load(_require(get("ref", None, str), "ref"))
         analysis.write_mae_csv(out, analysis.dof_mae(pred, ref, times))
@@ -248,6 +254,8 @@ def cmd_analyze(args, config) -> int:
         bins = get("bins", 50, int, positive=True)
         lo = get("min", -3.0, _finite_float)
         hi = get("max", 3.0, _finite_float)
+        if not lo < hi:
+            raise UsageError(f"--min must be below --max, got {lo} and {hi}")
         ensemble = sqc.TrajectoryEnsemble.load(_require(get("ensemble", None, str), "ensemble"))
         hist = analysis.coordinate_histogram(ensemble, var, bins, (lo, hi))
         analysis.write_histogram_csv(out, hist)

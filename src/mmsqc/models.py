@@ -18,8 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from mmsqc.arrayio import write_atomic
-
 # cm^-1 -> eV; hbar in eV*fs
 CM1_TO_EV = 1.239841984e-4
 HBAR_EV_FS = 0.6582119569
@@ -197,6 +195,8 @@ def build_model(label: str) -> SiteExcitonModel:
 
 
 def save_model(model: SiteExcitonModel, path: str) -> None:
+    from mmsqc.arrayio import write_atomic   # here: build_model never writes a file
+
     text = json.dumps(model.to_config(), indent=2, sort_keys=True) + "\n"
     write_atomic(path, text.encode("utf-8"))
 

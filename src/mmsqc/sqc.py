@@ -20,7 +20,6 @@ ensemble in chunks of any size is bitwise identical to propagating it whole;
 worker count never changes results.
 """
 
-import concurrent.futures
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -598,7 +597,9 @@ def _map_chunks(work, starts: np.ndarray, row_shape: tuple, workers: int, *args,
         out = np.empty(shape)
         work(starts, 0, out, *args)
         return out
-    # imported here: at the top they would slow `import mmsqc` and add to its RSS
+    # imported here, for the fan-out only: at the top they would slow every
+    # import of this module and add to its RSS
+    import concurrent.futures
     import mmap
     import multiprocessing
 

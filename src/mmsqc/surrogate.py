@@ -392,7 +392,8 @@ def evaluate_loss(sequences: np.ndarray, params: LstmParams, seq_len: int) -> fl
         block = sequences[start:start + EVAL_CHUNK]
         ys = np.empty((block.shape[0], seq_len - 1, params.dim))
         _unroll(params, block[:, 0, :], ys)
-        total += np.sum((ys - block[:, 1:, :])**2)
+        np.subtract(ys, block[:, 1:, :], out=ys)   # in place: no second block
+        total += np.sum(np.square(ys, out=ys))
     return float(total / (sequences.shape[0] * (seq_len - 1) * sequences.shape[2]))
 
 

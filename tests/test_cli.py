@@ -340,6 +340,36 @@ def test_non_finite_analysis_ranges_are_refused(tmp_path, capsys, what, flag, va
     assert not out.exists()
 
 
+@pytest.mark.parametrize("slices", ["", ",", ",,"])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_mae_refuses_a_slice_list_without_times(tmp_path, capsys, slices, source):
+    """A slice list that names no time is a usage error, raised before any
+    file is read (the ensembles here do not exist)."""
+    out, missing = tmp_path / "x.csv", tmp_path / "none.traj"
+    argv, name = ["analyze", "mae", "--pred", missing, "--ref", missing], "--slices"
+    if source == "flag":
+        argv.append(f"--slices={slices}")
+    else:
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"analyze": {"slices": slices}}))
+        argv, name = ["--config", config, *argv], "config key analyze.slices"
+    assert run(*argv, "--out", out) == 2
+    assert f"{name} must name at least one time" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("lo, hi", [(3, -3), (1, 1)])
+def test_hist_refuses_an_empty_range(tmp_path, capsys, lo, hi):
+    """--min at or above --max is a usage error naming both flags, raised
+    before the ensemble (here missing) is read."""
+    out = tmp_path / "x.csv"
+    assert run("analyze", "hist", "--ensemble", tmp_path / "none.traj", "--var", 0,
+               "--min", lo, "--max", hi, "--out", out) == 2
+    assert (f"--min must be below --max, got {float(lo)} and {float(hi)}"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
 def test_config_numbers_parse_like_flags(tmp_path):
     config = tmp_path / "run.json"
     config.write_text(json.dumps({"simulate": {"model": "I", "ntraj": 2, "t-end": 3,

@@ -17,6 +17,7 @@ from mmsqc.surrogate import (
     TrainConfig,
     TrainDivergedError,
     _cell,
+    _unroll,
     adam_step,
     backward,
     evaluate_loss,
@@ -405,6 +406,19 @@ def test_backward_into_out_allocates_no_gradient():
     out = LstmParams.zeros(36, 256)
     peak = traced_peak(lambda: backward(caches, dY, params, out=out))
     assert peak <= 1.5 * params.flat.nbytes
+
+
+def test_evaluate_loss_holds_one_output_block():
+    """The squared error is formed in the read-out block itself, so no
+    second block-sized array is allocated, and the loss keeps its bits."""
+    params = random_params(284, 32, 5)
+    sequences = np.random.default_rng(6).normal(size=(100, 20, 284))
+    ys = np.empty((100, 19, 284))   # one output block: 4.3 MB
+    _unroll(params, sequences[:, 0], ys)
+    expected = float(np.sum((ys - sequences[:, 1:]) ** 2) / ys.size)
+    peak = traced_peak(lambda: evaluate_loss(sequences, params, 20))
+    assert peak <= 1.5 * ys.nbytes
+    assert evaluate_loss(sequences, params, 20) == expected
 
 
 # ---------------------------------------------------------------------------
