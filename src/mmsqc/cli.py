@@ -99,10 +99,6 @@ def _init_state_index(init_state: int, model: models.SiteExcitonModel) -> int:
     return init_state - 1
 
 
-def _run_config(command: str, **params) -> dict:
-    return {"command": command, **params}
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -138,9 +134,9 @@ def cmd_simulate(args, config) -> int:
     wall = time.perf_counter() - t0
     energies = sqc.ensemble_energies(model, ensemble)
     drift = float(np.max(np.abs(energies - energies[:, :1])))
-    run_config = _run_config("simulate", model=model.label, ntraj=n_traj,
-                             t_end=t_end, record_dt=record_dt, dt=dt, seed=seed,
-                             init_state=init_state + 1)
+    run_config = {"command": "simulate", "model": model.label, "ntraj": n_traj,
+                  "t_end": t_end, "record_dt": record_dt, "dt": dt, "seed": seed,
+                  "init_state": init_state + 1}
     ensemble.save(out, extra_header={"run_config": run_config})
     print(f"simulated {n_traj} trajectories of model {model.label} to {t_end:g} fs")
     print(f"max energy drift {drift:.3e} eV, wall time {wall:.1f} s -> {out}")
@@ -156,8 +152,8 @@ def cmd_dataset(args, config) -> int:
 
     ensemble = sqc.TrajectoryEnsemble.load(source)
     data = ds.build_dataset(ensemble, seq_len, seed)
-    run_config = _run_config("dataset", ensemble=os.path.basename(source),
-                             seq_len=seq_len, seed=seed)
+    run_config = {"command": "dataset", "ensemble": os.path.basename(source),
+                  "seq_len": seq_len, "seed": seed}
     data.save(out, extra_header={"run_config": run_config})
     print(f"{data.n_train} training / {data.n_validation} validation sequences "
           f"of length {seq_len} -> {out}")
@@ -186,8 +182,8 @@ def cmd_train(args, config) -> int:
             print(f"epoch {e + 1}/{epochs}  train {tr:.3e}  val {va:.3e}", file=sys.stderr)
 
     params, report = surrogate.train(data, cfg, progress=progress)
-    run_config = _run_config("train", dataset=os.path.basename(source), hidden=hidden,
-                             lr=lr, batch=batch, epochs=epochs, seed=seed)
+    run_config = {"command": "train", "dataset": os.path.basename(source), "hidden": hidden,
+                  "lr": lr, "batch": batch, "epochs": epochs, "seed": seed}
     surrogate.save_checkpoint(out, params, cfg, report,
                               extra_header={"run_config": run_config,
                                             "source_hash": data.source_hash})
@@ -219,10 +215,10 @@ def cmd_rollout(args, config) -> int:
     t0 = time.perf_counter()
     ensemble = analysis.rollout_ensemble(model, params, cfg)
     wall = time.perf_counter() - t0
-    run_config = _run_config("rollout", model=model.label,
-                             checkpoint=os.path.basename(ckpt_path), ntraj=n_traj,
-                             steps=steps, record_dt=record_dt, seed=seed,
-                             init_state=init_state + 1)
+    run_config = {"command": "rollout", "model": model.label,
+                  "checkpoint": os.path.basename(ckpt_path), "ntraj": n_traj,
+                  "steps": steps, "record_dt": record_dt, "seed": seed,
+                  "init_state": init_state + 1}
     ensemble.save(out, extra_header={"run_config": run_config, "predicted": True})
     print(f"rolled out {n_traj} trajectories x {steps} steps "
           f"(chunk length {cfg.seq_len}), wall time {wall:.1f} s -> {out}")

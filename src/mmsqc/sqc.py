@@ -10,8 +10,11 @@ sampling and final state assignment both use the triangle window with
 gamma = 1/3; populations come from counting binned assignments over an
 ensemble of trajectories.
 
-The flat state-vector layout is x_e | p_e | Q | P (nuclear blocks state-major);
-time is in fs, energies in eV, hbar in eV*fs.
+A phase-space point is always the flat vector x_e | p_e | Q | P (nuclear
+blocks state-major), of length `model.dim`: it is what `sample_initial`
+returns, what `propagate` and `mm_energy` take, what the integrator advances,
+what trajectory files hold and what the surrogate reads and writes. There is
+no second representation. Time is in fs, energies in eV, hbar in eV*fs.
 
 The integrator is fixed-step RK4 with the harmonic bath in closed form
 (`_BathRK4`, no switch; it changed output bytes once, at roundoff level). It
@@ -29,7 +32,7 @@ from mmsqc.models import HBAR_EV_FS, SiteExcitonModel
 from mmsqc.streams import substream
 
 STATE_ORDERING = "x_e|p_e|Q|P"
-ENERGY_CHUNK = 2048   # recorded states per energy evaluation in ensemble_energies
+ENERGY_CHUNK = 2048   # state vectors per energy evaluation in mm_energy
 GAMMA = 1.0 / 3.0     # zero-point parameter of the mapping, fixed by the triangle windows
 
 
@@ -40,46 +43,6 @@ class IntegratorConfig:
     def __post_init__(self):
         if not 0.0 < self.dt_internal < np.inf:   # also refuses nan
             raise ValueError(f"dt_internal must be finite and positive, got {self.dt_internal}")
-
-
-@dataclass
-class PhaseSpaceState:
-    """Full phase-space point: mapping variables plus nuclear oscillators."""
-
-    x_e: np.ndarray
-    p_e: np.ndarray
-    Q: np.ndarray
-    P: np.ndarray
-    t: float = 0.0
-
-    def __post_init__(self):
-        self.x_e = np.asarray(self.x_e, dtype=float)
-        self.p_e = np.asarray(self.p_e, dtype=float)
-        self.Q = np.asarray(self.Q, dtype=float)
-        self.P = np.asarray(self.P, dtype=float)
-        if self.x_e.shape != self.p_e.shape or self.Q.shape != self.P.shape:
-            raise ValueError("x_e/p_e and Q/P must come in equal-length pairs")
-
-    @property
-    def n_states(self) -> int:
-        return self.x_e.shape[0]
-
-
-def pack_state(state: PhaseSpaceState) -> np.ndarray:
-    """Flatten to the canonical x_e|p_e|Q|P vector."""
-    return np.concatenate([state.x_e, state.p_e, state.Q, state.P])
-
-
-def unpack_state(vec, n_states: int, t: float = 0.0) -> PhaseSpaceState:
-    vec = np.asarray(vec, dtype=float)
-    if vec.ndim != 1 or vec.size < 2 * n_states or (vec.size - 2 * n_states) % 2:
-        raise ValueError(f"cannot unpack length-{vec.size} vector for {n_states} states")
-    ne = n_states
-    nv = (vec.size - 2 * ne) // 2
-    return PhaseSpaceState(
-        vec[:ne].copy(), vec[ne:2 * ne].copy(),
-        vec[2 * ne:2 * ne + nv].copy(), vec[2 * ne + nv:].copy(), t=t,
-    )
 
 
 class IntegrationError(RuntimeError):
@@ -222,31 +185,22 @@ class _Hamiltonian:
         return energy * HBAR_EV_FS
 
 
-def mm_energy(model: SiteExcitonModel, state: PhaseSpaceState) -> float:
-    """Mapping-Hamiltonian energy of a single phase-space point (eV)."""
-    _check_dims(model, state)
-    return float(_Hamiltonian(model)._energy(pack_state(state)[:, None])[0])
+def mm_energy(model: SiteExcitonModel, states) -> np.ndarray:
+    """Mapping-Hamiltonian energy (eV) of every x_e|p_e|Q|P vector in a
+    (..., dim) stack; returns shape states.shape[:-1].
 
-
-def eom(model: SiteExcitonModel, state: PhaseSpaceState):
-    """Time derivatives (dx_e, dp_e, dQ, dP) of one state, in 1/fs."""
-    _check_dims(model, state)
-    Y = pack_state(state)[:, None]
-    dY = _Hamiltonian(model)._deriv(Y, np.empty_like(Y))
-    return _split(dY[:, 0], model.n_states, model.n_modes)
-
-
-def _check_dims(model: SiteExcitonModel, state: PhaseSpaceState) -> None:
-    if state.x_e.shape[-1] != model.n_states:
-        raise ValueError(
-            f"state has {state.x_e.shape[-1]} mapping pairs, "
-            f"model {model.label} has {model.n_states} states"
-        )
-    if state.Q.shape[-1] != model.n_modes:
-        raise ValueError(
-            f"state has {state.Q.shape[-1]} nuclear modes, "
-            f"model {model.label} has {model.n_modes}"
-        )
+    Vectors are evaluated ENERGY_CHUNK at a time, so the temporaries stay a
+    few MB for any stack, and each energy is the one its vector gives alone."""
+    states = np.asarray(states, dtype=float)
+    if states.shape[-1:] != (model.dim,):
+        raise ValueError(f"model {model.label} needs (..., {model.dim}) state vectors, "
+                         f"got shape {states.shape}")
+    flat = states.reshape(-1, model.dim)
+    ham = _Hamiltonian(model)
+    energies = np.empty(len(flat))
+    for a in range(0, len(flat), ENERGY_CHUNK):
+        energies[a:a + ENERGY_CHUNK] = ham._energy(flat[a:a + ENERGY_CHUNK].T)
+    return energies.reshape(states.shape[:-1])
 
 
 # ---------------------------------------------------------------------------
@@ -282,20 +236,14 @@ def assign_from_actions(n) -> np.ndarray:
     return assigned
 
 
-def window_assign(x_e, p_e):
-    """Assign a single mapping-variable vector to a state, or None."""
-    idx = int(assign_from_actions(action(x_e, p_e)))
-    return idx if idx >= 0 else None
-
-
 # ---------------------------------------------------------------------------
 # initial sampling
 
 
 def sample_initial(model: SiteExcitonModel, init_state: int,
-                   rng: np.random.Generator) -> PhaseSpaceState:
-    """Draw one initial condition: triangle-window electronic sampling plus
-    ground-level action-angle nuclear sampling.
+                   rng: np.random.Generator) -> np.ndarray:
+    """Draw one initial condition, a (dim,) x_e|p_e|Q|P vector: triangle-window
+    electronic sampling plus ground-level action-angle nuclear sampling.
 
     Electronic radii e_k = n_k + gamma are uniform over the window support of
     the initial state (e_init in [1, 2], others in [0, 1], pairwise
@@ -314,11 +262,9 @@ def sample_initial(model: SiteExcitonModel, init_state: int,
             break
     theta = rng.uniform(0.0, 2.0 * np.pi, size=ne)
     radius = np.sqrt(2.0 * e)
-    x_e = radius * np.cos(theta)
-    p_e = -radius * np.sin(theta)
-
     phi = rng.uniform(0.0, 2.0 * np.pi, size=model.n_modes)
-    return PhaseSpaceState(x_e, p_e, np.cos(phi), -np.sin(phi), t=0.0)
+    return np.concatenate([radius * np.cos(theta), -radius * np.sin(theta),
+                           np.cos(phi), -np.sin(phi)])
 
 
 # ---------------------------------------------------------------------------
@@ -352,9 +298,6 @@ class Trajectory:
     @property
     def times(self) -> np.ndarray:
         return np.arange(self.n_records) * self.record_dt
-
-    def state(self, i: int) -> PhaseSpaceState:
-        return unpack_state(self.data[i], self.n_states, t=float(i * self.record_dt))
 
 
 @dataclass
@@ -538,23 +481,26 @@ def _propagate_batch(Y0: np.ndarray, offset: int, out: np.ndarray, model: SiteEx
             out[:, rec] = Y.T
 
 
-def propagate(model: SiteExcitonModel, state: PhaseSpaceState,
-              icfg: IntegratorConfig, t_end: float, record_dt: float) -> Trajectory:
-    """Integrate one trajectory, recording every record_dt (t = 0 included)."""
-    _check_dims(model, state)
+def propagate(model: SiteExcitonModel, y0, icfg: IntegratorConfig, t_end: float,
+              record_dt: float) -> Trajectory:
+    """Integrate one trajectory from the (dim,) vector y0, recording every
+    record_dt (t = 0 included)."""
+    y0 = np.asarray(y0, dtype=float)
+    if y0.shape != (model.dim,):
+        raise ValueError(f"model {model.label} needs a ({model.dim},) initial state, "
+                         f"got shape {y0.shape}")
     out = np.empty((1, _grid_steps(t_end, record_dt, "t_end") + 1, model.dim))
-    _propagate_batch(pack_state(state)[None, :], 0, out, model, icfg, record_dt)
+    _propagate_batch(y0[None, :], 0, out, model, icfg, record_dt)
     return Trajectory(record_dt, out[0], model.n_states)
 
 
 def _sample_starts(model: SiteExcitonModel, n_traj: int, init_state: int,
                    seed: int) -> np.ndarray:
-    """Packed initial conditions, (n_traj, dim); trajectory i draws from the
+    """Initial conditions, (n_traj, dim); trajectory i draws from the
     (seed, "sampling", i) stream."""
     starts = np.empty((n_traj, model.dim))
     for i in range(n_traj):
-        rng = substream(seed, "sampling", i)
-        starts[i] = pack_state(sample_initial(model, init_state, rng))
+        starts[i] = sample_initial(model, init_state, substream(seed, "sampling", i))
     return starts
 
 
@@ -638,15 +584,12 @@ def run_ensemble(model: SiteExcitonModel, n_traj: int, init_state: int, seed: in
 
 def ensemble_energies(model: SiteExcitonModel, ensemble: TrajectoryEnsemble) -> np.ndarray:
     """Mapping-Hamiltonian energy of every recorded state, (n_traj, n_records).
-
-    States are evaluated ENERGY_CHUNK at a time, so the temporaries stay a
-    few MB for any ensemble size."""
-    flat = ensemble.data.reshape(-1, ensemble.dim)
-    ham = _Hamiltonian(model)
-    energies = np.empty(len(flat))
-    for a in range(0, len(flat), ENERGY_CHUNK):
-        energies[a:a + ENERGY_CHUNK] = ham._energy(flat[a:a + ENERGY_CHUNK].T)
-    return energies.reshape(ensemble.data.shape[:2])
+    Refuses an ensemble whose state count or vector size is not the model's."""
+    if (ensemble.n_states, ensemble.dim) != (model.n_states, model.dim):
+        raise ValueError(f"ensemble of model {ensemble.model_label} has {ensemble.n_states} "
+                         f"states and dim {ensemble.dim}; model {model.label} has "
+                         f"{model.n_states} states and dim {model.dim}")
+    return mm_energy(model, ensemble.data)
 
 
 # ---------------------------------------------------------------------------

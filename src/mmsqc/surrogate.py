@@ -142,23 +142,12 @@ def _fold_readout(params: LstmParams) -> tuple[np.ndarray, np.ndarray]:
 class ForwardRecord:
     """One batched forward pass, time-major, for `backward`. Step t reads x[t]
     (x0, then the previous read-out), h[t] and c[t] (row 0 is zero), and
-    writes gates[t] (i|f|o|g), h[t+1], c[t+1] and its read-out x[t+1].
-    `record[:n]` is what a forward pass of n steps records."""
+    writes gates[t] (i|f|o|g), h[t+1], c[t+1] and its read-out x[t+1]."""
 
     x: np.ndarray       # (L, B, D)
     gates: np.ndarray   # (L-1, B, 4H)
     h: np.ndarray       # (L, B, H)
     c: np.ndarray       # (L, B, H)
-
-    def __len__(self) -> int:
-        return len(self.gates)
-
-    def __getitem__(self, steps: slice) -> "ForwardRecord":
-        start, stop, stride = steps.indices(len(self))
-        if start != 0 or stride != 1:
-            raise ValueError("a forward record slices only as record[:n]")
-        return ForwardRecord(self.x[:stop + 1], self.gates[:stop], self.h[:stop + 1],
-                             self.c[:stop + 1])
 
 
 def _unroll(params: LstmParams, x0: np.ndarray, out: np.ndarray,
@@ -231,7 +220,7 @@ def backward(record: ForwardRecord, loss_grads, params: LstmParams,
     so a training loop can reuse one gradient vector.
     """
     dY = np.asarray(loss_grads, dtype=float)
-    if not record:
+    if record is None:
         raise ValueError("no forward record supplied")
     if dY.ndim == 2:
         dY = dY[None]

@@ -121,10 +121,11 @@ def test_criterion_4_window_properties():
     draws = 0
     for label, init in (("I", 0), ("I", 1), ("III", 2), ("V", 0)):
         model = models.build_model(label)
+        ne = model.n_states
         for i in range(25_000):
             s = sqc.sample_initial(model, init, substream(55, "sampling", i))
             draws += 1
-            if sqc.window_assign(s.x_e, s.p_e) != init:
+            if sqc.assign_from_actions(sqc.action(s[:ne], s[ne:2 * ne])) != init:
                 mismatched += 1
     ok = overlaps == 0 and mismatched == 0
     report(4, ok, f"0 overlapping windows in 2x1e6 action vectors "

@@ -25,7 +25,6 @@ from mmsqc.models import Mode, SiteExcitonModel, build_model
 from mmsqc.sqc import (
     IntegratorConfig,
     TrajectoryEnsemble,
-    pack_state,
     populations,
     run_ensemble,
     sample_initial,
@@ -45,8 +44,7 @@ def sampled_ensemble(model, n_traj, seed, n_records=1):
     """Ensemble of initial samples copied over a trivial time grid."""
     data = np.empty((n_traj, n_records, model.dim))
     for i in range(n_traj):
-        state = sample_initial(model, 0, substream(seed, "sampling", i))
-        data[i, :] = pack_state(state)
+        data[i, :] = sample_initial(model, 0, substream(seed, "sampling", i))
     return TrajectoryEnsemble(1.0, data, model.n_states, model.label, seed)
 
 

@@ -14,10 +14,8 @@ from mmsqc.dataset import (
 from mmsqc.models import build_model
 from mmsqc.sqc import (
     IntegratorConfig,
-    PhaseSpaceState,
     Trajectory,
     TrajectoryEnsemble,
-    pack_state,
     run_ensemble,
     sample_initial,
 )
@@ -31,16 +29,9 @@ def synthetic_trajectory(n_records, dim=6, n_states=1, seed=0):
 
 def test_vectorize_dimensions_and_ordering():
     s1 = sample_initial(build_model("I"), 0, np.random.default_rng(0))
-    assert pack_state(s1).shape == (36,)
+    assert s1.shape == (36,)
     s3 = sample_initial(build_model("III"), 0, np.random.default_rng(0))
-    assert pack_state(s3).shape == (54,)
-
-    marked = PhaseSpaceState(np.array([1.0, 2.0]), np.array([3.0, 4.0]),
-                             np.array([5.0]), np.array([6.0]))
-    assert np.array_equal(pack_state(marked), [1, 2, 3, 4, 5, 6])
-
-    zero = PhaseSpaceState(np.zeros(2), np.zeros(2), np.zeros(16), np.zeros(16))
-    assert np.array_equal(pack_state(zero), np.zeros(36))
+    assert s3.shape == (54,)
 
 
 def test_split_sequence_counts():

@@ -16,20 +16,15 @@ from mmsqc.sqc import (
     ENERGY_CHUNK,
     IntegrationError,
     IntegratorConfig,
-    PhaseSpaceState,
     Trajectory,
     TrajectoryEnsemble,
     action,
     assign_from_actions,
-    eom,
     mm_energy,
-    pack_state,
     populations,
     propagate,
     run_ensemble,
     sample_initial,
-    unpack_state,
-    window_assign,
     ensemble_energies,
     _BathRK4,
     _Hamiltonian,
@@ -43,9 +38,16 @@ from mmsqc.streams import substream
 GAMMA = 1.0 / 3.0
 
 
-def zero_state(model, t=0.0):
-    return PhaseSpaceState(np.zeros(model.n_states), np.zeros(model.n_states),
-                           np.zeros(model.n_modes), np.zeros(model.n_modes), t=t)
+def deriv(model, y):
+    """Hamilton's equations at one x_e|p_e|Q|P vector, in 1/fs."""
+    Y = y[:, None]
+    return _Hamiltonian(model)._deriv(Y, np.empty_like(Y))[:, 0]
+
+
+def blocks(model, y):
+    """The x_e, p_e, Q and P blocks of a state vector."""
+    ne, nv = model.n_states, model.n_modes
+    return y[:ne], y[ne:2 * ne], y[2 * ne:2 * ne + nv], y[2 * ne + nv:]
 
 
 def kappa_zeroed(model):
@@ -60,14 +62,6 @@ def unequal_model():
               for _ in range(count)] for count in (3, 0, 5)]
     v = [[0.1, 0.05, 0.0], [0.05, -0.02, 0.07], [0.0, 0.07, 0.0]]
     return SiteExcitonModel("unequal", v, modes)
-
-
-def random_state(model, seed):
-    rng = np.random.default_rng(seed)
-    return PhaseSpaceState(rng.normal(size=model.n_states),
-                           rng.normal(size=model.n_states),
-                           rng.normal(size=model.n_modes),
-                           rng.normal(size=model.n_modes))
 
 
 # ---------------------------------------------------------------------------
@@ -86,13 +80,13 @@ def test_action_values():
     assert action(1.0, 1.0) == pytest.approx(2.0 / 3.0)
 
 
-def test_window_assign_examples():
+def test_assign_from_actions_examples():
     assert assign_from_actions(np.array([0.8, -0.1])) == 0
     assert assign_from_actions(np.array([0.5, 0.5])) == -1
     # all mapping variables zero
-    assert window_assign(np.zeros(2), np.zeros(2)) is None
+    assert assign_from_actions(action(np.zeros(2), np.zeros(2))) == -1
     x = np.sqrt(2.0 * np.array([0.8 + GAMMA, -0.1 + GAMMA]))
-    assert window_assign(x, np.zeros(2)) == 0
+    assert assign_from_actions(action(x, np.zeros(2))) == 0
 
 
 def test_window_disjointness_random_actions():
@@ -117,17 +111,17 @@ def test_window_disjointness_random_actions():
 
 
 def test_mm_energy_examples():
-    assert mm_energy(build_model("I"), zero_state(build_model("I"))) == 0.0
+    assert mm_energy(build_model("I"), np.zeros(36)) == 0.0
     m2 = build_model("II")
-    assert mm_energy(m2, zero_state(m2)) == pytest.approx(-GAMMA * 0.2)
-    excited = PhaseSpaceState(np.array([np.sqrt(2 * (1 + GAMMA)), 0.0]), np.zeros(2),
-                              np.zeros(16), np.zeros(16))
+    assert mm_energy(m2, np.zeros(m2.dim)) == pytest.approx(-GAMMA * 0.2)
+    excited = np.zeros(m2.dim)
+    excited[0] = np.sqrt(2 * (1 + GAMMA))
     assert mm_energy(m2, excited) == pytest.approx(0.2)
 
 
 def test_mm_energy_dimension_mismatch():
-    with pytest.raises(ValueError):
-        mm_energy(build_model("I"), zero_state(build_model("III")))
+    with pytest.raises(ValueError, match="model I needs"):
+        mm_energy(build_model("I"), np.zeros(build_model("III").dim))
 
 
 def test_eom_at_origin():
@@ -135,7 +129,7 @@ def test_eom_at_origin():
     momenta feel the residual zero-point force dP = gamma*kappa/hbar from the
     -gamma shift in the mapping weight."""
     model = build_model("I")
-    dx, dp, dQ, dP = eom(model, zero_state(model))
+    dx, dp, dQ, dP = blocks(model, deriv(model, np.zeros(model.dim)))
     assert np.array_equal(dx, np.zeros(2))
     assert np.array_equal(dp, np.zeros(2))
     assert np.array_equal(dQ, np.zeros(16))
@@ -147,25 +141,13 @@ def test_eom_at_origin():
 def test_eom_matches_energy_gradient(label, seed):
     """Hamilton's equations = (1/hbar) * symplectic gradient of the energy."""
     model = unequal_model() if label == "unequal" else build_model(label)
-    state = random_state(model, seed)
-    dx, dp, dQ, dP = eom(model, state)
-    vec = pack_state(state)
+    vec = np.random.default_rng(seed).normal(size=model.dim)
+    got = deriv(model, vec)
     h = 1e-6
-    grad = np.zeros(model.dim)
-    for i in range(model.dim):
-        vp, vm = vec.copy(), vec.copy()
-        vp[i] += h
-        vm[i] -= h
-        ep = mm_energy(model, unpack_state(vp, model.n_states))
-        em = mm_energy(model, unpack_state(vm, model.n_states))
-        grad[i] = (ep - em) / (2 * h)
-    ne, nv = model.n_states, model.n_modes
-    dE_dx = grad[:ne]
-    dE_dp = grad[ne:2 * ne]
-    dE_dQ = grad[2 * ne:2 * ne + nv]
-    dE_dP = grad[2 * ne + nv:]
+    steps = h * np.eye(model.dim)   # row i moves variable i alone
+    grad = (mm_energy(model, vec + steps) - mm_energy(model, vec - steps)) / (2 * h)
+    dE_dx, dE_dp, dE_dQ, dE_dP = blocks(model, grad)
     expected = np.concatenate([dE_dp, -dE_dx, dE_dP, -dE_dQ]) / HBAR_EV_FS
-    got = np.concatenate([dx, dp, dQ, dP])
     assert np.max(np.abs(got - expected)) <= 1e-8 * np.max(np.abs(expected))
 
 
@@ -313,14 +295,15 @@ def test_sample_initial_support_and_rings():
     model = build_model("III")
     for i in range(500):
         s = sample_initial(model, 1, substream(9, "sampling", i))
-        e = 0.5 * (s.x_e**2 + s.p_e**2)
+        assert s.shape == (model.dim,)
+        x_e, p_e, Q, P = blocks(model, s)
+        e = 0.5 * (x_e**2 + p_e**2)
         assert 1.0 <= e[1] <= 2.0
         for j in (0, 2):
             assert 0.0 <= e[j] <= 1.0
             assert e[1] + e[j] <= 2.0
-        assert np.max(np.abs(s.Q**2 + s.P**2 - 1.0)) < 1e-12
-        assert window_assign(s.x_e, s.p_e) == 1
-        assert s.t == 0.0
+        assert np.max(np.abs(Q**2 + P**2 - 1.0)) < 1e-12
+        assert assign_from_actions(action(x_e, p_e)) == 1
 
 
 def test_sample_initial_mean_radial_action():
@@ -331,8 +314,8 @@ def test_sample_initial_mean_radial_action():
     n = 40_000
     e1 = np.empty(n)
     for i in range(n):
-        s = sample_initial(model, 0, rng)
-        e1[i] = 0.5 * (s.x_e[0]**2 + s.p_e[0]**2)
+        x_e, p_e, _, _ = blocks(model, sample_initial(model, 0, rng))
+        e1[i] = 0.5 * (x_e[0]**2 + p_e[0]**2)
     assert e1.mean() == pytest.approx(4.0 / 3.0, abs=0.01)
 
 
@@ -352,22 +335,25 @@ def test_record_count():
     assert traj.n_records == 11
     assert traj.times[0] == 0.0
     assert traj.times[-1] == pytest.approx(10.0)
-    assert np.array_equal(traj.data[0], pack_state(state))
+    assert np.array_equal(traj.data[0], state)
 
 
 def test_grid_validation():
     model = build_model("I")
-    state = zero_state(model)
+    state = np.zeros(model.dim)
     with pytest.raises(ValueError, match="t_end"):
         propagate(model, state, IntegratorConfig(0.01), t_end=10.5, record_dt=1.0)
     with pytest.raises(ValueError, match="record_dt"):
         propagate(model, state, IntegratorConfig(0.03), t_end=10.0, record_dt=1.0)
+    for wrong in (np.zeros(model.dim - 1), np.zeros((1, model.dim))):
+        with pytest.raises(ValueError, match="model I needs a \\(36,\\) initial state"):
+            propagate(model, wrong, IntegratorConfig(0.01), t_end=10.0, record_dt=1.0)
 
 
 def test_uncoupled_mode_returns_after_one_period():
     model = SiteExcitonModel("osc", [[0.0, 0.0], [0.0, 0.0]],
                              [[Mode(0.2, 0.0)], []])
-    state = PhaseSpaceState(np.zeros(2), np.zeros(2), np.array([1.0]), np.array([0.0]))
+    state = np.array([0.0, 0.0, 0.0, 0.0, 1.0, 0.0])   # x_e | p_e | Q = 1 | P = 0
     period = 2 * np.pi * HBAR_EV_FS / 0.2   # about 20.68 fs
     icfg = IntegratorConfig(dt_internal=period / 2068)
     traj = propagate(model, state, icfg, t_end=period, record_dt=period)
@@ -397,33 +383,58 @@ def test_energy_conservation_short():
     assert np.max(np.abs(energies - energies[:, :1])) <= 1e-5
 
 
-def test_ensemble_energies_match_mm_energy():
-    """Evaluated in chunks of ENERGY_CHUNK states, every energy is still
-    the one mm_energy gives for that state alone, bit for bit."""
-    model = build_model("I")
-    data = np.random.default_rng(6).normal(size=(ENERGY_CHUNK // 16 + 3, 17, model.dim))
-    energies = ensemble_energies(model, TrajectoryEnsemble(1.0, data, model.n_states))
-    expected = [[mm_energy(model, unpack_state(y, model.n_states)) for y in traj]
-                for traj in data]
+@settings(max_examples=25, deadline=None)
+@given(model=custom_models(), n_axes=st.integers(0, 3),
+       first=st.integers(0, 40) | st.integers(ENERGY_CHUNK - 8, ENERGY_CHUNK + 40),
+       rest=st.tuples(st.integers(1, 3), st.integers(1, 3)), seed=st.integers(0, 2**32 - 1))
+@example(model=build_model("I"), n_axes=2, first=ENERGY_CHUNK // 16 + 3, rest=(17, 1), seed=6)
+def test_ensemble_energies_match_mm_energy(model, n_axes, first, rest, seed):
+    """mm_energy takes any (..., dim) stack and returns its leading shape.
+    Evaluated in chunks of ENERGY_CHUNK vectors, every energy is still the
+    one mm_energy gives for that vector alone, bit for bit, and so is every
+    energy ensemble_energies gives."""
+    lead = (first, *rest)[:n_axes]
+    data = np.random.default_rng(seed).normal(size=(*lead, model.dim))
+    energies = mm_energy(model, data)
+    assert energies.shape == lead
+    expected = [mm_energy(model, data[idx]) for idx in np.ndindex(lead)]
     assert energies.tobytes() == np.array(expected).tobytes()
+    if n_axes == 2:
+        ens = TrajectoryEnsemble(1.0, data, model.n_states)
+        assert ensemble_energies(model, ens).tobytes() == energies.tobytes()
+
+
+def test_ensemble_energies_refuse_another_models_ensemble():
+    """Models of different state counts can share a vector size (here 22);
+    an ensemble of one is refused for the other, as is one of another size."""
+    mode = Mode(0.1, 0.02)
+    two = SiteExcitonModel("two", [[0.1, 0.05], [0.05, 0.0]], [[mode] * 5, [mode] * 4])
+    three = SiteExcitonModel("three", np.diag([0.1, 0.0, -0.1]), [[mode] * 3, [mode] * 3,
+                                                                  [mode] * 2])
+    assert two.dim == three.dim == 22
+    ens = run_ensemble(three, 3, 0, 1, IntegratorConfig(0.05), 1.0, 1.0)
+    with pytest.raises(ValueError, match="ensemble of model three has 3 states.*model two has 2"):
+        ensemble_energies(two, ens)
+    ens_i = run_ensemble(build_model("I"), 2, 0, 1, IntegratorConfig(0.05), 1.0, 1.0)
+    with pytest.raises(ValueError, match="ensemble of model I .* model III"):
+        ensemble_energies(build_model("III"), ens_i)
 
 
 def test_time_reversal():
     model = build_model("I")
     state = sample_initial(model, 0, np.random.default_rng(4))
     icfg = IntegratorConfig(0.01)
+    ne, nv = model.n_states, model.n_modes
+    flip = np.repeat([1.0, -1.0, 1.0, -1.0], [ne, ne, nv, nv])   # p_e -> -p_e, P -> -P
     forward = propagate(model, state, icfg, 10.0, 10.0)
-    end = forward.state(1)
-    flipped = PhaseSpaceState(end.x_e, -end.p_e, end.Q, -end.P)
-    back = propagate(model, flipped, icfg, 10.0, 10.0).state(1)
-    returned = np.concatenate([back.x_e, -back.p_e, back.Q, -back.P])
-    assert np.max(np.abs(returned - pack_state(state))) < 1e-8
+    back = propagate(model, forward.data[1] * flip, icfg, 10.0, 10.0).data[1]
+    assert np.max(np.abs(back * flip - state)) < 1e-8
 
 
 def test_integration_error_reports_time_and_variable():
     model = build_model("I")
-    state = zero_state(model)
-    state.x_e[0] = 1e200   # overflows within the first recording interval
+    state = np.zeros(model.dim)
+    state[0] = 1e200   # x_e[0]; overflows within the first recording interval
     with pytest.raises(IntegrationError) as err:
         propagate(model, state, IntegratorConfig(0.01), 2.0, 1.0)
     assert err.value.t > 0
@@ -590,18 +601,7 @@ def test_populations_rabi_small():
 
 
 # ---------------------------------------------------------------------------
-# state packing and file round trips
-
-
-def test_pack_unpack_round_trip():
-    model = build_model("III")
-    state = random_state(model, 8)
-    vec = pack_state(state)
-    assert vec.shape == (54,)
-    back = unpack_state(vec, 3, t=2.0)
-    assert np.array_equal(back.x_e, state.x_e)
-    assert np.array_equal(back.P, state.P)
-    assert back.t == 2.0
+# trajectories and file round trips
 
 
 def test_trajectory_state_accessors():
@@ -609,7 +609,7 @@ def test_trajectory_state_accessors():
     ens = run_ensemble(model, 2, 0, 3, IntegratorConfig(0.05), 3.0, 1.0)
     traj = Trajectory(ens.record_dt, ens.data[1], ens.n_states)
     assert traj.n_records == 4
-    assert traj.state(2).t == pytest.approx(2.0)
+    assert traj.times[2] == pytest.approx(2.0)
 
 
 def test_ensemble_file_round_trip(tmp_path):
