@@ -1,14 +1,12 @@
-"""Command-line pipeline driver.
+"""The mmsqc command line: model, simulate, dataset, train, rollout, analyze.
 
-Subcommands: model, simulate, dataset, train, rollout, analyze. Parameter
-precedence is flags > config file (--config, JSON keyed by subcommand) >
-defaults. All randomness derives from the per-command --seed through named
-substreams; --workers (or MMSQC_WORKERS) never changes results. Output files
-are written atomically. Exit codes: 0 success, 2 usage, 1 runtime error.
+Each option is one row of `COMMANDS`: its flag, config key, cast, default and
+help. All randomness derives from the per-command --seed through named
+substreams; --workers never changes results. Output files are written
+atomically. Exit codes: 0 success, 2 usage, 1 runtime error.
 """
 
 import argparse
-import functools
 import json
 import os
 import sys
@@ -24,28 +22,24 @@ class UsageError(Exception):
 
 
 class _OutOfRange(ValueError):
-    """A `_resolve` cast refuses the value; the message follows its source."""
+    """A cast refuses the value; the message follows its source."""
 
 
-def _learning_rate(text) -> float:
-    value = float(text)
-    if not 0.0 <= value < np.inf:   # also refuses nan
-        raise _OutOfRange(f"must be finite and non-negative, got {value}")
-    return value
+def _cast(kind, ok, what: str):
+    """A cast to `kind` that refuses a value failing `ok` as "must be `what`".
+    The float casts below also refuse nan."""
+    def cast(text):
+        value = kind(text)
+        if not ok(value):
+            raise _OutOfRange(f"must be {what}, got {value}")
+        return value
+    return cast
 
 
-def _positive_float(text) -> float:
-    value = float(text)
-    if not 0.0 < value < np.inf:   # also refuses nan
-        raise _OutOfRange(f"must be finite and positive, got {value}")
-    return value
-
-
-def _finite_float(text) -> float:
-    value = float(text)
-    if not -np.inf < value < np.inf:   # also refuses nan
-        raise _OutOfRange(f"must be finite, got {value}")
-    return value
+_positive_int = _cast(int, lambda v: v > 0, "positive")
+_learning_rate = _cast(float, lambda v: 0.0 <= v < np.inf, "finite and non-negative")
+_positive_float = _cast(float, lambda v: 0.0 < v < np.inf, "finite and positive")
+_finite_float = _cast(float, lambda v: -np.inf < v < np.inf, "finite")
 
 
 def _time_list(text) -> list[float]:
@@ -55,317 +49,253 @@ def _time_list(text) -> list[float]:
     return times
 
 
-def _resolve(args: argparse.Namespace, config: dict, command: str, key: str,
-             default, cast, positive: bool = False, env: str | None = None):
-    """flags > config[command][key] > config[key] > environment variable `env`
-    > default. A config value is cast from its JSON text, as if given as the
-    flag, so `2.7` or `true` is no integer. Errors name the value's source.
-    `positive` is for integers; floats use a cast such as `_positive_float`."""
-    value, source = getattr(args, key.replace("-", "_"), None), f"--{key}"
-    section = config.get(command, {})
-    if value is None and isinstance(section, dict):
-        for name, scope in ((f"{command}.{key}", section), (key, config)):
-            if scope.get(key) is not None:
-                value, source = scope[key], f"config key {name}"
-                value = value if isinstance(value, str) else json.dumps(value)
-                break
-    if value is None and env is not None and env in os.environ:
-        value, source = os.environ[env], env
-    if value is None:
-        return default
-    try:
-        value = cast(value)
-    except _OutOfRange as exc:
-        raise UsageError(f"{source} {exc}") from None
-    except ValueError:
-        raise UsageError(f"invalid value for {source}: {value!r}") from None
-    if positive and value <= 0:
-        raise UsageError(f"{source} must be positive, got {value}")
-    return value
+REQUIRED = object()   # the default of an option that must be given
+
+# rows that several commands share: (option, cast, default or REQUIRED, help)
+MODEL = ("model", str, REQUIRED, "built-in label I..VI or config path")
+NTRAJ = ("ntraj", _positive_int, REQUIRED, "number of trajectories")
+INIT_STATE = ("init-state", int, 1, "initially excited state, 1-based")
+SEED = ("seed", int, 0, "random seed")
+WORKERS = ("workers", _positive_int, 1, "worker processes (or MMSQC_WORKERS)")
+TRAJ_OUT = ("out", str, REQUIRED, "trajectory ensemble file to write")
+ENSEMBLE = ("ensemble", str, REQUIRED, "trajectory ensemble file")
+PRED = ("pred", str, REQUIRED, "predicted ensemble")
+REF = ("ref", str, REQUIRED, "reference ensemble")
+CSV_OUT = ("out", str, REQUIRED, "CSV file to write")
+
+# command -> (help, rows). The analyses share the config section "analyze".
+COMMANDS = {
+    "model": ("inspect or export a model definition", [
+        ("id", str, REQUIRED, "built-in label I..VI or config path"),
+        ("out", str, None, "write the model config JSON here")]),
+    "simulate": ("run an MM-SQC trajectory ensemble", [
+        MODEL, NTRAJ, ("t-end", _positive_float, REQUIRED, "propagation time in fs"),
+        ("record-dt", _positive_float, 1.0, "recording interval in fs"),
+        ("dt", _positive_float, sqc.IntegratorConfig.dt_internal, "integrator step in fs"),
+        INIT_STATE, SEED, WORKERS, TRAJ_OUT]),
+    "dataset": ("build a training dataset from an ensemble", [
+        ENSEMBLE, ("seq-len", _positive_int, REQUIRED, "sequence length L"), SEED,
+        ("out", str, REQUIRED, "dataset file to write")]),
+    "train": ("train the one-to-many LSTM", [
+        ("dataset", str, REQUIRED, "dataset file"),
+        ("hidden", _positive_int, surrogate.TrainConfig.hidden, "LSTM width"),
+        ("lr", _learning_rate, surrogate.TrainConfig.learning_rate, "learning rate"),
+        ("batch", _positive_int, surrogate.TrainConfig.batch_size, "batch size"),
+        ("epochs", _positive_int, surrogate.TrainConfig.epochs, "training epochs"),
+        SEED, ("out", str, REQUIRED, "checkpoint path"),
+        ("loss-csv", str, None, "optional per-epoch loss history CSV")]),
+    "rollout": ("replay trajectories with a trained network", [
+        MODEL, ("checkpoint", str, REQUIRED, "trained network"), NTRAJ,
+        ("steps", _positive_int, REQUIRED, "predicted steps on the record grid"),
+        ("record-dt", _positive_float, analysis.RolloutConfig.record_dt,
+         "recording interval in fs"), INIT_STATE, SEED, WORKERS, TRAJ_OUT]),
+    "analyze populations": ("window-binned populations of one ensemble", [ENSEMBLE, CSV_OUT]),
+    "analyze compare": ("population deviation between two ensembles", [PRED, REF, CSV_OUT]),
+    "analyze mae": ("per-DOF MAE at selected times", [
+        PRED, REF, ("slices", _time_list, "20,40,60,80,100", "comma-separated times in fs"),
+        CSV_OUT]),
+    "analyze hist": ("time-resolved histogram of one variable", [
+        ENSEMBLE, ("var", int, REQUIRED, "flat variable index in x_e|p_e|Q|P order"),
+        ("bins", _positive_int, 50, "number of bins"),
+        ("min", _finite_float, -3.0, "lower edge of the bins"),
+        ("max", _finite_float, 3.0, "upper edge of the bins"), CSV_OUT]),
+}
 
 
-def _require(value, name: str):
-    if value is None:
-        raise UsageError(f"missing required option --{name}")
-    return value
+def _resolve(args: argparse.Namespace, config: dict, command: str) -> argparse.Namespace:
+    """Set each option of `command` on `args`: flag > config[section][key] > config[key] >
+    MMSQC_WORKERS (for workers) > default. Each value goes through its row's cast, a config
+    value as its JSON text (so `2.7` or `true` is no integer); errors name its source."""
+    section = command.split()[0]
+    scoped = config[section] if isinstance(config.get(section), dict) else {}
+    for name, cast, default, _ in COMMANDS[command][1]:
+        shared = None if isinstance(config.get(name), dict) else config.get(name)
+        env = os.environ.get("MMSQC_WORKERS") if name == "workers" else None
+        sources = ((getattr(args, name.replace("-", "_")), f"--{name}"),
+                   (scoped.get(name), f"config key {section}.{name}"),
+                   (shared, f"config key {name}"), (env, "MMSQC_WORKERS"), (default, "default"))
+        value, source = next(((v, s) for v, s in sources if v is not None), (None, None))
+        if value is REQUIRED:
+            raise UsageError(f"missing required option --{name}")
+        if value is not None:
+            text = value if isinstance(value, str) else json.dumps(value)
+            try:
+                value = cast(text)
+            except _OutOfRange as exc:
+                raise UsageError(f"{source} {exc}") from None
+            except ValueError:
+                raise UsageError(f"invalid value for {source}: {text!r}") from None
+        setattr(args, name.replace("-", "_"), value)
+    return args
 
 
 def _init_state_index(init_state: int, model: models.SiteExcitonModel) -> int:
     if not 1 <= init_state <= model.n_states:
-        raise UsageError(
-            f"--init-state {init_state} out of range 1..{model.n_states} "
-            f"for model {model.label}"
-        )
+        raise UsageError(f"--init-state {init_state} out of range 1..{model.n_states} "
+                         f"for model {model.label}")
     return init_state - 1
 
 
-# ---------------------------------------------------------------------------
-# subcommands
+# subcommands: `main` looks cmd_<command> up by name when it runs it (so a wrapper set on
+# the module is called) and passes the options that `_resolve` set on `args`
 
 
-def cmd_model(args, config) -> int:
-    label = _require(_resolve(args, config, "model", "id", None, str), "id")
-    model = models.resolve_model(label)
-    out = _resolve(args, config, "model", "out", None, str)
-    if out:
-        models.save_model(model, out)
-        print(f"wrote {out}")
+def cmd_model(args) -> int:
+    model = models.resolve_model(args.id)
+    if args.out:
+        models.save_model(model, args.out)
+        print(f"wrote {args.out}")
     print(f"model {model.label}: {model.n_states} states, {model.n_modes} modes, "
           f"state-vector dimension {model.dim}")
     return 0
 
 
-def cmd_simulate(args, config) -> int:
-    get = functools.partial(_resolve, args, config, "simulate")
-    model = models.resolve_model(_require(get("model", None, str), "model"))
-    n_traj = _require(get("ntraj", None, int, positive=True), "ntraj")
-    t_end = _require(get("t-end", None, _positive_float), "t-end")
-    record_dt = get("record-dt", 1.0, _positive_float)
-    dt = get("dt", sqc.IntegratorConfig.dt_internal, _positive_float)
-    seed = get("seed", 0, int)
-    workers = get("workers", 1, int, positive=True, env="MMSQC_WORKERS")
-    init_state = _init_state_index(get("init-state", 1, int), model)
-    out = _require(get("out", None, str), "out")
-
-    icfg = sqc.IntegratorConfig(dt_internal=dt)
+def cmd_simulate(args) -> int:
+    model = models.resolve_model(args.model)
+    init_state = _init_state_index(args.init_state, model)
     t0 = time.perf_counter()
-    ensemble = sqc.run_ensemble(model, n_traj, init_state, seed, icfg,
-                                t_end, record_dt, workers=workers)
+    ensemble = sqc.run_ensemble(model, args.ntraj, init_state, args.seed,
+                                sqc.IntegratorConfig(dt_internal=args.dt),
+                                args.t_end, args.record_dt, workers=args.workers)
     wall = time.perf_counter() - t0
     energies = sqc.ensemble_energies(model, ensemble)
     drift = float(np.max(np.abs(energies - energies[:, :1])))
-    run_config = {"command": "simulate", "model": model.label, "ntraj": n_traj,
-                  "t_end": t_end, "record_dt": record_dt, "dt": dt, "seed": seed,
-                  "init_state": init_state + 1}
-    ensemble.save(out, extra_header={"run_config": run_config})
-    print(f"simulated {n_traj} trajectories of model {model.label} to {t_end:g} fs")
-    print(f"max energy drift {drift:.3e} eV, wall time {wall:.1f} s -> {out}")
+    run_config = {"command": "simulate", "model": model.label, "ntraj": args.ntraj,
+                  "t_end": args.t_end, "record_dt": args.record_dt, "dt": args.dt,
+                  "seed": args.seed, "init_state": init_state + 1}
+    ensemble.save(args.out, extra_header={"run_config": run_config})
+    print(f"simulated {args.ntraj} trajectories of model {model.label} to {args.t_end:g} fs")
+    print(f"max energy drift {drift:.3e} eV, wall time {wall:.1f} s -> {args.out}")
     return 0
 
 
-def cmd_dataset(args, config) -> int:
-    get = functools.partial(_resolve, args, config, "dataset")
-    source = _require(get("ensemble", None, str), "ensemble")
-    seq_len = _require(get("seq-len", None, int, positive=True), "seq-len")
-    seed = get("seed", 0, int)
-    out = _require(get("out", None, str), "out")
-
-    ensemble = sqc.TrajectoryEnsemble.load(source)
-    data = ds.build_dataset(ensemble, seq_len, seed)
-    run_config = {"command": "dataset", "ensemble": os.path.basename(source),
-                  "seq_len": seq_len, "seed": seed}
-    data.save(out, extra_header={"run_config": run_config})
+def cmd_dataset(args) -> int:
+    data = ds.build_dataset(sqc.TrajectoryEnsemble.load(args.ensemble), args.seq_len, args.seed)
+    run_config = {"command": "dataset", "ensemble": os.path.basename(args.ensemble),
+                  "seq_len": args.seq_len, "seed": args.seed}
+    data.save(args.out, extra_header={"run_config": run_config})
     print(f"{data.n_train} training / {data.n_validation} validation sequences "
-          f"of length {seq_len} -> {out}")
+          f"of length {args.seq_len} -> {args.out}")
     return 0
 
 
-def cmd_train(args, config) -> int:
-    get = functools.partial(_resolve, args, config, "train")
-    source = _require(get("dataset", None, str), "dataset")
-    hidden = get("hidden", surrogate.TrainConfig.hidden, int, positive=True)
-    lr = get("lr", surrogate.TrainConfig.learning_rate, _learning_rate)
-    batch = get("batch", surrogate.TrainConfig.batch_size, int, positive=True)
-    epochs = get("epochs", surrogate.TrainConfig.epochs, int, positive=True)
-    seed = get("seed", 0, int)
-    out = _require(get("out", None, str), "out")
-    loss_csv = get("loss-csv", None, str)
-
-    data = ds.SequenceDataset.load(source)
-    cfg = surrogate.TrainConfig(seq_len=data.seq_len, hidden=hidden,
-                                learning_rate=lr, batch_size=batch,
-                                epochs=epochs, seed=seed)
-    every = max(1, epochs // 20)
+def cmd_train(args) -> int:
+    data = ds.SequenceDataset.load(args.dataset)
+    cfg = surrogate.TrainConfig(seq_len=data.seq_len, hidden=args.hidden, learning_rate=args.lr,
+                                batch_size=args.batch, epochs=args.epochs, seed=args.seed)
+    every = max(1, args.epochs // 20)
 
     def progress(e, tr, va):   # on stderr, so stdout keeps only the summary
         if (e + 1) % every == 0:
-            print(f"epoch {e + 1}/{epochs}  train {tr:.3e}  val {va:.3e}", file=sys.stderr)
+            print(f"epoch {e + 1}/{args.epochs}  train {tr:.3e}  val {va:.3e}", file=sys.stderr)
 
     params, report = surrogate.train(data, cfg, progress=progress)
-    run_config = {"command": "train", "dataset": os.path.basename(source), "hidden": hidden,
-                  "lr": lr, "batch": batch, "epochs": epochs, "seed": seed}
-    surrogate.save_checkpoint(out, params, cfg, report,
-                              extra_header={"run_config": run_config,
-                                            "source_hash": data.source_hash})
-    if loss_csv:
-        analysis.write_csv(loss_csv, ["epoch", "train_loss", "val_loss"],
-                           zip(range(epochs), report.train_loss, report.val_loss))
+    run_config = {"command": "train", "dataset": os.path.basename(args.dataset),
+                  "hidden": args.hidden, "lr": args.lr, "batch": args.batch,
+                  "epochs": args.epochs, "seed": args.seed}
+    surrogate.save_checkpoint(args.out, params, cfg, report, extra_header={
+        "run_config": run_config, "source_hash": data.source_hash})
+    if args.loss_csv:
+        analysis.write_csv(args.loss_csv, ["epoch", "train_loss", "val_loss"],
+                           zip(range(args.epochs), report.train_loss, report.val_loss))
     print(f"best epoch {report.best_epoch} (val loss {report.val_loss[report.best_epoch]:.3e}), "
-          f"wall time {report.wall_time_s:.0f} s -> {out}")
+          f"wall time {report.wall_time_s:.0f} s -> {args.out}")
     return 0
 
 
-def cmd_rollout(args, config) -> int:
-    get = functools.partial(_resolve, args, config, "rollout")
-    model = models.resolve_model(_require(get("model", None, str), "model"))
-    ckpt_path = _require(get("checkpoint", None, str), "checkpoint")
-    n_traj = _require(get("ntraj", None, int, positive=True), "ntraj")
-    steps = _require(get("steps", None, int, positive=True), "steps")
-    record_dt = get("record-dt", analysis.RolloutConfig.record_dt, _positive_float)
-    seed = get("seed", 0, int)
-    workers = get("workers", 1, int, positive=True, env="MMSQC_WORKERS")
-    init_state = _init_state_index(get("init-state", 1, int), model)
-    out = _require(get("out", None, str), "out")
-
-    params, header = surrogate.load_checkpoint(ckpt_path)
-    cfg = analysis.RolloutConfig(n_traj=n_traj, total_steps=steps,
-                                 seq_len=int(header["seq_len"]), seed=seed,
-                                 init_state=init_state, record_dt=record_dt,
-                                 workers=workers)
+def cmd_rollout(args) -> int:
+    model = models.resolve_model(args.model)
+    init_state = _init_state_index(args.init_state, model)
+    params, header = surrogate.load_checkpoint(args.checkpoint)
+    cfg = analysis.RolloutConfig(n_traj=args.ntraj, total_steps=args.steps, seed=args.seed,
+                                 seq_len=int(header["seq_len"]), init_state=init_state,
+                                 record_dt=args.record_dt, workers=args.workers)
     t0 = time.perf_counter()
     ensemble = analysis.rollout_ensemble(model, params, cfg)
     wall = time.perf_counter() - t0
     run_config = {"command": "rollout", "model": model.label,
-                  "checkpoint": os.path.basename(ckpt_path), "ntraj": n_traj,
-                  "steps": steps, "record_dt": record_dt, "seed": seed,
+                  "checkpoint": os.path.basename(args.checkpoint), "ntraj": args.ntraj,
+                  "steps": args.steps, "record_dt": args.record_dt, "seed": args.seed,
                   "init_state": init_state + 1}
-    ensemble.save(out, extra_header={"run_config": run_config, "predicted": True})
-    print(f"rolled out {n_traj} trajectories x {steps} steps "
-          f"(chunk length {cfg.seq_len}), wall time {wall:.1f} s -> {out}")
+    ensemble.save(args.out, extra_header={"run_config": run_config, "predicted": True})
+    print(f"rolled out {args.ntraj} trajectories x {args.steps} steps "
+          f"(chunk length {cfg.seq_len}), wall time {wall:.1f} s -> {args.out}")
     return 0
 
 
-def cmd_analyze(args, config) -> int:
-    what = args.what
-    get = functools.partial(_resolve, args, config, "analyze")
-    out = _require(get("out", None, str), "out")
-
+def cmd_analyze(args) -> int:
+    what, out, load = args.what, args.out, sqc.TrajectoryEnsemble.load
     if what == "populations":
-        ensemble = sqc.TrajectoryEnsemble.load(_require(get("ensemble", None, str), "ensemble"))
-        analysis.write_populations_csv(out, sqc.populations(ensemble))
+        analysis.write_populations_csv(out, sqc.populations(load(args.ensemble)))
     elif what == "compare":
-        pred = sqc.TrajectoryEnsemble.load(_require(get("pred", None, str), "pred"))
-        ref = sqc.TrajectoryEnsemble.load(_require(get("ref", None, str), "ref"))
-        dev = analysis.compare_populations(pred, ref)
+        dev = analysis.compare_populations(load(args.pred), load(args.ref))
         analysis.write_compare_csv(out, dev)
-        print(f"mean abs deviation per state: "
-              f"{', '.join(f'{v:.4f}' for v in dev.mean_abs)}")
-    elif what == "mae":   # the times are checked before any file is read
-        times = get("slices", [20.0, 40.0, 60.0, 80.0, 100.0], _time_list)
-        pred = sqc.TrajectoryEnsemble.load(_require(get("pred", None, str), "pred"))
-        ref = sqc.TrajectoryEnsemble.load(_require(get("ref", None, str), "ref"))
-        analysis.write_mae_csv(out, analysis.dof_mae(pred, ref, times))
-    elif what == "hist":
-        var = _require(get("var", None, int), "var")
-        bins = get("bins", 50, int, positive=True)
-        lo = get("min", -3.0, _finite_float)
-        hi = get("max", 3.0, _finite_float)
-        if not lo < hi:
-            raise UsageError(f"--min must be below --max, got {lo} and {hi}")
-        ensemble = sqc.TrajectoryEnsemble.load(_require(get("ensemble", None, str), "ensemble"))
-        hist = analysis.coordinate_histogram(ensemble, var, bins, (lo, hi))
+        print(f"mean abs deviation per state: {', '.join(f'{v:.4f}' for v in dev.mean_abs)}")
+    elif what == "mae":
+        analysis.write_mae_csv(out, analysis.dof_mae(load(args.pred), load(args.ref), args.slices))
+    else:   # hist
+        if not args.min < args.max:
+            raise UsageError(f"--min must be below --max, got {args.min} and {args.max}")
+        hist = analysis.coordinate_histogram(load(args.ensemble), args.var, args.bins,
+                                             (args.min, args.max))
         analysis.write_histogram_csv(out, hist)
-    else:  # pragma: no cover - argparse restricts choices
-        raise UsageError(f"unknown analysis {what!r}")
     print(f"wrote {out}")
     return 0
 
 
-# ---------------------------------------------------------------------------
-# parser
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="mmsqc",
-        description="Simulate MM-SQC trajectories of site-exciton models, train an "
-                    "LSTM trajectory surrogate, and compare the two.",
-    )
-    parser.add_argument("--config", help="JSON file with per-subcommand defaults")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("model", help="inspect or export a model definition")
-    p.add_argument("--id", help="built-in label I..VI or config path")
-    p.add_argument("--out", help="write the model config JSON here")
-    p.set_defaults(func=cmd_model)
-
-    p = sub.add_parser("simulate", help="run an MM-SQC trajectory ensemble")
-    p.add_argument("--model", help="built-in label I..VI or config path")
-    p.add_argument("--ntraj", type=int)
-    p.add_argument("--t-end", type=float, help="propagation time in fs")
-    p.add_argument("--record-dt", type=float, help="recording interval in fs (default 1)")
-    p.add_argument("--dt", type=float,
-                   help=f"integrator step in fs (default {sqc.IntegratorConfig.dt_internal:g})")
-    p.add_argument("--init-state", type=int, help="initially excited state, 1-based (default 1)")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--workers", type=int)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("dataset", help="build a training dataset from an ensemble")
-    p.add_argument("--ensemble", help="trajectory ensemble file")
-    p.add_argument("--seq-len", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_dataset)
-
-    p = sub.add_parser("train", help="train the one-to-many LSTM")
-    p.add_argument("--dataset")
-    p.add_argument("--hidden", type=int,
-                   help=f"LSTM width (default {surrogate.TrainConfig.hidden})")
-    p.add_argument("--lr", type=float,
-                   help=f"learning rate (default {surrogate.TrainConfig.learning_rate:g})")
-    p.add_argument("--batch", type=int,
-                   help=f"batch size (default {surrogate.TrainConfig.batch_size})")
-    p.add_argument("--epochs", type=int,
-                   help=f"training epochs (default {surrogate.TrainConfig.epochs})")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out", help="checkpoint path")
-    p.add_argument("--loss-csv", help="optional per-epoch loss history CSV")
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("rollout", help="replay trajectories with a trained network")
-    p.add_argument("--model")
-    p.add_argument("--checkpoint")
-    p.add_argument("--ntraj", type=int)
-    p.add_argument("--steps", type=int, help="predicted steps on the record grid")
-    p.add_argument("--record-dt", type=float,
-                   help=f"recording interval in fs (default {analysis.RolloutConfig.record_dt:g})")
-    p.add_argument("--init-state", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--workers", type=int)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_rollout)
-
-    p = sub.add_parser("analyze", help="write analysis CSVs")
-    what = p.add_subparsers(dest="what", required=True)
-    q = what.add_parser("populations", help="window-binned populations of one ensemble")
-    q.add_argument("--ensemble")
-    q.add_argument("--out")
-    q = what.add_parser("compare", help="population deviation between two ensembles")
-    q.add_argument("--pred")
-    q.add_argument("--ref")
-    q.add_argument("--out")
-    q = what.add_parser("mae", help="per-DOF MAE at selected times")
-    q.add_argument("--pred")
-    q.add_argument("--ref")
-    q.add_argument("--slices", help="comma-separated times in fs (default 20,40,60,80,100)")
-    q.add_argument("--out")
-    q = what.add_parser("hist", help="time-resolved histogram of one variable")
-    q.add_argument("--ensemble")
-    q.add_argument("--var", type=int, help="flat variable index in x_e|p_e|Q|P order")
-    q.add_argument("--bins", type=int)
-    q.add_argument("--min", type=float)
-    q.add_argument("--max", type=float)
-    q.add_argument("--out")
-    p.set_defaults(func=cmd_analyze)
+        prog="mmsqc", description="Simulate MM-SQC trajectories of site-exciton models, train "
+                                  "an LSTM trajectory surrogate, and compare the two.")
+    subs, analyses = parser.add_subparsers(dest="command", required=True), None
+    options = [(parser, [("config", str, None, "JSON file with per-subcommand defaults")])]
+    for command, (text, rows) in COMMANDS.items():
+        group, _, what = command.partition(" ")
+        if what and analyses is None:
+            analyses = subs.add_parser(group, help="write analysis CSVs").add_subparsers(
+                dest="what", required=True)
+        options.append(((analyses if what else subs).add_parser(what or command, help=text), rows))
+    for p, rows in options:
+        for name, _, default, text in rows:
+            if default is not None:
+                text += " (required)" if default is REQUIRED else f" (default {default})"
+            p.add_argument(f"--{name}", help=text)
     return parser
 
 
 def _load_config(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        config = json.load(fh)
+    """Read the config file. An object-valued key is a command's section, any other key an
+    option shared by all commands; a key that no option reads is refused."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            config = json.load(fh)
+    except OSError as exc:
+        raise UsageError(f"{path}: cannot read config: {exc.strerror}") from None
+    except ValueError as exc:   # JSONDecodeError, UnicodeDecodeError
+        raise UsageError(f"{path}: config is not valid JSON: {exc}") from None
     if not isinstance(config, dict):
         raise UsageError(f"{path}: config must be a JSON object")
+    sections = {}
+    for command, (_, rows) in COMMANDS.items():
+        sections.setdefault(command.split()[0], set()).update(row[0] for row in rows)
+    shared = set().union(*sections.values())
+    for key, value in config.items():
+        if isinstance(value, dict) and key in sections:
+            for name in sorted(value.keys() - sections[key]):
+                raise UsageError(f"unknown config key {key}.{name}")
+        elif key in sections and key not in shared:
+            raise UsageError(f"config key {key} must be an object")
+        elif isinstance(value, dict) or key not in shared:
+            raise UsageError(f"unknown config key {key}")
     return config
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    command = f"analyze {args.what}" if args.command == "analyze" else args.command
     try:
         config = _load_config(args.config) if args.config else {}
-        return args.func(args, config)
+        return globals()[f"cmd_{args.command}"](_resolve(args, config, command))
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

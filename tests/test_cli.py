@@ -1,9 +1,14 @@
 import csv
 import json
+import os
+import string
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from mmsqc import cli
 from mmsqc.analysis import RolloutConfig
 from mmsqc.cli import main
 from mmsqc.dataset import SequenceDataset
@@ -66,14 +71,14 @@ def test_simulate_reruns_are_byte_identical(tmp_path):
     assert a.read_bytes() == b.read_bytes() == c.read_bytes()
 
 
-def test_usage_errors_exit_2(tmp_path):
+def test_usage_errors_exit_2(tmp_path, capsys):
     assert run("simulate", "--model", "I", "--ntraj", 0, "--t-end", 5,
                "--out", tmp_path / "x.traj") == 2
     assert run("simulate", "--model", "I", "--t-end", 5,
                "--out", tmp_path / "x.traj") == 2   # missing --ntraj
-    with pytest.raises(SystemExit) as exc:
-        run("simulate", "--ntraj", "many")
-    assert exc.value.code == 2
+    capsys.readouterr()
+    assert run("simulate", "--model", "I", "--ntraj", "many") == 2
+    assert "usage error: invalid value for --ntraj: 'many'" in capsys.readouterr().err
     with pytest.raises(SystemExit):
         run("no-such-command")
 
@@ -392,3 +397,140 @@ def test_analyze_refuses_other_model(tiny_pipeline, tmp_path, capsys):
                    "--out", tmp_path / "x.csv") == 1
         assert "different models: I vs II" in capsys.readouterr().err
     assert not (tmp_path / "x.csv").exists()
+
+
+def test_config_sections_and_shared_keys(tmp_path, capsys):
+    """An object-valued key is a command's section, any other key an option of
+    every command. `model` is both a command and an option: a top-level string
+    is the option. A non-object under a command name that is no option is refused,
+    and does not hide the top-level keys."""
+    config, out = tmp_path / "run.json", tmp_path / "a.traj"
+    config.write_text(json.dumps({"model": "I", "ntraj": 2, "simulate": {"t-end": 2}}))
+    assert run("--config", config, "simulate", "--dt", 0.05, "--out", out) == 0
+    ens = TrajectoryEnsemble.load(str(out))
+    assert (ens.model_label, ens.n_traj, ens.data.shape[1]) == ("I", 2, 3)
+    config.write_text(json.dumps({"model": {"id": "II"}}))
+    assert run("--config", config, "model") == 0
+    assert "model II" in capsys.readouterr().out
+    config.write_text(json.dumps({"simulate": 5, "ntraj": 2}))
+    assert run("--config", config, "simulate", "--model", "I", "--t-end", 2,
+               "--out", tmp_path / "x.traj") == 2
+    assert "usage error: config key simulate must be an object" in capsys.readouterr().err
+    assert not (tmp_path / "x.traj").exists()
+
+
+@pytest.mark.parametrize("config, key", [
+    ({"simulate": {"ntraj": 2, "t-end": 2, "record_dt": 0.5}}, "simulate.record_dt"),
+    ({"analyze": {"bins": 10, "seq-len": 5}}, "analyze.seq-len"),
+    ({"model": {"id": "I", "ntraj": 2}}, "model.ntraj"),
+    ({"record_dt": 0.5}, "record_dt"),
+    ({"simulation": {"ntraj": 2}}, "simulation"),
+    ({"ntraj": {"simulate": 2}}, "ntraj")])
+def test_unknown_config_keys_are_refused(tmp_path, capsys, config, key):
+    """Every key must be read by some option of its section's commands (an
+    `analyze` key by any analysis), or, at the top level, of any command."""
+    path, out = tmp_path / "run.json", tmp_path / "x.traj"
+    path.write_text(json.dumps(config))
+    assert run("--config", path, "simulate", "--model", "I", "--ntraj", 2, "--t-end", 2,
+               "--out", out) == 2
+    assert f"usage error: unknown config key {key}\n" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text, reason", [
+    (None, "cannot read config: No such file or directory"),
+    ('{"simulate": {"ntraj": 2,}\n}', "config is not valid JSON: Expecting property name"),
+    ("[1, 2]", "config must be a JSON object")])
+def test_config_file_errors_name_the_file(tmp_path, capsys, text, reason):
+    path = tmp_path / "run.json"
+    if text is not None:
+        path.write_text(text)
+    assert run("--config", path, "simulate", "--model", "I", "--ntraj", 2, "--t-end", 2,
+               "--out", tmp_path / "x.traj") == 2
+    assert f"usage error: {path}: {reason}" in capsys.readouterr().err
+
+
+# Valid values of each cast of the option table, as the text a flag carries,
+# and invalid ones; a new cast needs an entry here.
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+VALID = {
+    str: st.text(string.ascii_letters + string.digits + "._/", min_size=1, max_size=8),
+    int: st.integers(-10**6, 10**6).map(str),
+    cli._positive_int: st.integers(1, 10**6).map(str),
+    cli._positive_float: st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+    .map(repr),
+    cli._learning_rate: st.floats(min_value=0.0, allow_infinity=False).map(repr),
+    cli._finite_float: FINITE.map(repr),
+    cli._time_list: st.lists(FINITE, min_size=1, max_size=3).map(
+        lambda times: ",".join(map(repr, times))),
+}
+INVALID = {
+    str: [], int: ["x", "2.5", ""], cli._positive_int: ["0", "-2", "2.5"],
+    cli._positive_float: ["0", "-1", "nan", "inf"], cli._learning_rate: ["-1", "nan", "inf"],
+    cli._finite_float: ["nan", "-inf", "x"], cli._time_list: ["", ",", "1,nan"],
+}
+ROWS = [(command, row) for command, (_, rows) in cli.COMMANDS.items() for row in rows]
+
+
+@pytest.mark.parametrize("command, row", ROWS,
+                         ids=[f"{command.replace(' ', '-')}-{row[0]}" for command, row in ROWS])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_option_precedence_over_the_table(command, row, data, tmp_path_factory):
+    """For every option of every command: flag > config[section][key] >
+    config[key] > MMSQC_WORKERS (workers only) > default, over any subset of
+    sources holding distinct values. An invalid value is refused only where it
+    would win, and the error names exactly that source."""
+    name, cast, default, _ = row
+    section = command.split()[0]
+    labels = {"flag": f"--{name}", "section": f"config key {section}.{name}",
+              "top": f"config key {name}", "env": "MMSQC_WORKERS"}
+    order = ["flag", "section", "top"] + (["env"] if name == "workers" else [])
+    present = [source for source in order if data.draw(st.booleans(), label=source)]
+    texts = data.draw(st.lists(VALID[cast], min_size=len(present), max_size=len(present),
+                               unique_by=lambda text: repr(cast(text))), label="values")
+    values = dict(zip(present, texts))
+    bad = data.draw(st.sampled_from([None, *present] if INVALID[cast] else [None]), label="bad")
+    if bad:
+        values[bad] = data.draw(st.sampled_from(INVALID[cast]), label="invalid")
+    seen = dict(values)   # the text each source hands to the cast
+    config = {}
+    for source, scope in (("section", config.setdefault(section, {})), ("top", config)):
+        if source in values:
+            raw = values[source]
+            if cast not in (str, cli._time_list) and data.draw(st.booleans(), label="number"):
+                try:   # a config may hold a number as a JSON number
+                    raw = json.loads(raw)
+                    seen[source] = json.dumps(raw)
+                except ValueError:
+                    pass
+            scope[name] = raw
+    argv = [*command.split(), *(f"--{other}={data.draw(VALID[other_cast])}"
+                                for other, other_cast, other_default, _ in cli.COMMANDS[command][1]
+                                if other_default is cli.REQUIRED and other != name)]
+    if "flag" in values:
+        argv.append(f"--{name}={values['flag']}")
+    path = tmp_path_factory.getbasetemp() / "precedence.json"
+    path.write_text(json.dumps(config))
+    winner = next((source for source in order if source in values), None)
+    with mock.patch.dict(os.environ):
+        os.environ.pop("MMSQC_WORKERS", None)
+        if "env" in values:
+            os.environ["MMSQC_WORKERS"] = values["env"]
+        args, loaded = cli.build_parser().parse_args(argv), cli._load_config(str(path))
+        if (winner is not None and winner == bad) or (winner is None and default is cli.REQUIRED):
+            with pytest.raises(cli.UsageError) as exc:
+                cli._resolve(args, loaded, command)
+            message = str(exc.value)
+            if winner is None:
+                assert message == f"missing required option --{name}"
+            else:
+                assert labels[winner] in message
+                assert not [label for source, label in labels.items()
+                            if source != winner and label in message]
+            return
+        got = getattr(cli._resolve(args, loaded, command), name.replace("-", "_"))
+    if winner is not None:
+        assert repr(got) == repr(cast(seen[winner]))
+    else:
+        assert repr(got) == repr(None if default is None else cast(str(default)))
