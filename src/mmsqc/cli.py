@@ -97,8 +97,9 @@ COMMANDS = {
     "analyze hist": ("time-resolved histogram of one variable", [
         ENSEMBLE, ("var", int, REQUIRED, "flat variable index in x_e|p_e|Q|P order"),
         ("bins", _positive_int, 50, "number of bins"),
-        ("min", _finite_float, -3.0, "lower edge of the bins"),
-        ("max", _finite_float, 3.0, "upper edge of the bins"), CSV_OUT]),
+        ("min", _finite_float, -3.0, "lower edge of the bins; write -1e-3 as --min=-1e-3"),
+        ("max", _finite_float, 3.0, "upper edge of the bins; write -1e-3 as --max=-1e-3"),
+        CSV_OUT]),
 }
 
 
@@ -265,13 +266,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load_config(path: str) -> dict:
     """Read the config file. An object-valued key is a command's section, any other key an
-    option shared by all commands; a key that no option reads is refused."""
+    option shared by all commands; a key that no option reads, or a repeated key, is refused."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            config = json.load(fh)
+            config = json.load(fh, object_pairs_hook=models.unique_keys)
     except OSError as exc:
         raise UsageError(f"{path}: cannot read config: {exc.strerror}") from None
-    except ValueError as exc:   # JSONDecodeError, UnicodeDecodeError
+    except ValueError as exc:   # JSONDecodeError, UnicodeDecodeError, a repeated key
         raise UsageError(f"{path}: config is not valid JSON: {exc}") from None
     if not isinstance(config, dict):
         raise UsageError(f"{path}: config must be a JSON object")

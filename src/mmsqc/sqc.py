@@ -99,7 +99,8 @@ def _tree_sum_rows(a: np.ndarray) -> np.ndarray:
 
 class _Hamiltonian:
     """The mapping Hamiltonian of one model on variables-major (dim, n)
-    batches: Hamilton's equations in 1/fs and the energy in eV.
+    batches: the mapping weights, diagonals and electronic derivatives (in
+    1/fs) that `_BathRK4` steps with, and the energy in eV.
 
     The transposed layout keeps every block operation contiguous. Column
     independence matters: only elementwise ops, row gathers, loops over
@@ -121,7 +122,6 @@ class _Hamiltonian:
         self.kappa_h = (model.kappa / HBAR_EV_FS)[:, None]
         self.omega_h = (model.omega / HBAR_EV_FS)[:, None]
         counts = [sl.stop - sl.start for sl in model.state_slices]
-        self.mode_state = np.repeat(np.arange(ne), counts)
         # slots[i]: mode i's place in the flattened padded layout (m, n_states), where [j, k]
         # is state k's j-th mode and empty slots hold zeros, which are exact in tree sums
         self.m = max(counts)
@@ -159,16 +159,6 @@ class _Hamiltonian:
         np.negative(out[1], out=out[1])
         for l, col in self.columns:
             out += col * swapped[:, l:l + 1]
-        return out
-
-    def _deriv(self, Y: np.ndarray, out: np.ndarray) -> np.ndarray:
-        ne, nv = self.ne, self.nv
-        _, _, Q, P = _split(Y, ne, nv)
-        E = Y[:2 * ne].reshape(2, ne, -1)
-        # nuclear: dQ = (w/hbar) P, dP = -(w/hbar) Q - (kappa/hbar) weight_state
-        out[2 * ne:2 * ne + nv] = P * self.omega_h
-        out[2 * ne + nv:] = -(Q * self.omega_h) - self.kappa_h * self._weight(E)[self.mode_state]
-        out[:2 * ne] = self._electronic(E, self._diagonal(Y)).reshape(2 * ne, -1)
         return out
 
     def _energy(self, Y: np.ndarray) -> np.ndarray:

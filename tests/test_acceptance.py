@@ -25,7 +25,7 @@ def report(criterion: int, ok: bool, detail: str) -> None:
 
 
 def kappa_zeroed(model):
-    modes = [[models.Mode(m.omega, 0.0) for m in lst] for lst in model.modes_per_state]
+    modes = [[(w, 0.0) for w in model.omega[sl]] for sl in model.state_slices]
     return models.SiteExcitonModel(model.label + "-k0", model.v, modes)
 
 
@@ -35,12 +35,11 @@ def kappa_zeroed(model):
 
 def test_criterion_1_debye_table():
     t0 = time.perf_counter()
-    modes = models.discretize_debye(models.DEBYE_SPEC)
-    omegas = np.array([m.omega for m in modes])
-    kappas = np.array([m.kappa for m in modes])
+    modes = models.discretize_debye(**models.DEBYE_SPEC)
+    omegas, kappas = modes.T
     rel_omega = np.abs(omegas - DEBYE_MODES_EV[:, 0]) / DEBYE_MODES_EV[:, 0]
     rel_kappa = np.abs(kappas - DEBYE_MODES_EV[:, 1]) / DEBYE_MODES_EV[:, 1]
-    on_grid = np.allclose(omegas, models.DEBYE_SPEC.delta_omega * np.arange(1, 71),
+    on_grid = np.allclose(omegas, models.DEBYE_SPEC["delta_omega"] * np.arange(1, 71),
                           rtol=0, atol=1e-15)
     elapsed = time.perf_counter() - t0
     ok = (len(modes) == 70 and on_grid

@@ -21,7 +21,7 @@ from mmsqc.analysis import (
     write_mae_csv,
     write_populations_csv,
 )
-from mmsqc.models import Mode, SiteExcitonModel, build_model
+from mmsqc.models import SiteExcitonModel, build_model
 from mmsqc.sqc import (
     IntegratorConfig,
     TrajectoryEnsemble,
@@ -37,7 +37,7 @@ from mmsqc.surrogate import LstmParams, _fold_readout, init_params, one_to_many_
 
 def small_model():
     return SiteExcitonModel("two-mode", [[0.0, 0.05], [0.05, 0.0]],
-                            [[Mode(0.1, 0.01)], [Mode(0.12, -0.02)]])
+                            [[(0.1, 0.01)], [(0.12, -0.02)]])
 
 
 def sampled_ensemble(model, n_traj, seed, n_records=1):

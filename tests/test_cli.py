@@ -109,7 +109,9 @@ def test_model_export_round_trip(tmp_path):
     loaded = load_model(str(out))
     built = build_model("I")
     assert np.array_equal(loaded.v, built.v)
-    assert loaded.modes_per_state == built.modes_per_state
+    assert loaded.omega.tobytes() == built.omega.tobytes()
+    assert loaded.kappa.tobytes() == built.kappa.tobytes()
+    assert loaded.state_slices == built.state_slices
 
 
 def test_dataset_command(tiny_pipeline):
@@ -375,6 +377,35 @@ def test_hist_refuses_an_empty_range(tmp_path, capsys, lo, hi):
     assert not out.exists()
 
 
+def test_hist_negative_exponent_in_equals_form(tmp_path):
+    """argparse reads `--min -1e-3` as a flag, not a value; `--min=-1e-3` parses."""
+    ens, out = tmp_path / "I.traj", tmp_path / "hist.csv"
+    assert run("simulate", "--model", "I", "--ntraj", 2, "--t-end", 1, "--dt", 0.05,
+               "--out", ens) == 0
+    assert run("analyze", "hist", "--ensemble", ens, "--var", 0, "--bins", 2,
+               "--min=-1e-3", "--max=-5e-4", "--out", out) == 0
+    with open(out) as fh:
+        centers = sorted({float(row["bin_center"]) for row in csv.DictReader(fh)})
+    assert centers == pytest.approx([-8.75e-4, -6.25e-4])
+
+
+@pytest.mark.parametrize("corrupt, key", [
+    (lambda text: text.replace('"omega": 0.068', '"omega": true'), "omega"),
+    (lambda text: text.replace('"n_states": 2', '"n_states": true'), "n_states"),
+    (lambda text: json.dumps({**json.loads(text), "v": [["0", "0.2"], ["0.2", "0"]]}), "v"),
+    (lambda text: text.replace('"label": "I"', '"label": "I", "label": "II"'), "label")])
+def test_model_config_refuses_non_numbers_and_repeats(tmp_path, capsys, corrupt, key):
+    """A model file whose numbers are not JSON numbers, or whose keys repeat,
+    is refused by key."""
+    good, bad = tmp_path / "I.json", tmp_path / "bad.json"
+    assert run("model", "--id", "I", "--out", good) == 0
+    bad.write_text(corrupt(good.read_text()))
+    capsys.readouterr()
+    assert run("model", "--id", bad, "--out", tmp_path / "copy.json") == 1
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "copy.json").exists()
+
+
 def test_config_numbers_parse_like_flags(tmp_path):
     config = tmp_path / "run.json"
     config.write_text(json.dumps({"simulate": {"model": "I", "ntraj": 2, "t-end": 3,
@@ -440,7 +471,9 @@ def test_unknown_config_keys_are_refused(tmp_path, capsys, config, key):
 @pytest.mark.parametrize("text, reason", [
     (None, "cannot read config: No such file or directory"),
     ('{"simulate": {"ntraj": 2,}\n}', "config is not valid JSON: Expecting property name"),
-    ("[1, 2]", "config must be a JSON object")])
+    ("[1, 2]", "config must be a JSON object"),
+    ('{"model": {"id": "I", "id": "II"}}', "config is not valid JSON: repeated key 'id'"),
+    ('{"seed": 1, "seed": 2}', "config is not valid JSON: repeated key 'seed'")])
 def test_config_file_errors_name_the_file(tmp_path, capsys, text, reason):
     path = tmp_path / "run.json"
     if text is not None:

@@ -1,12 +1,15 @@
+import hashlib
+import json
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mmsqc.models import (
     CM1_TO_EV,
     DEBYE_SPEC,
     HBAR_EV_FS,
-    DebyeBathSpec,
-    Mode,
     SiteExcitonModel,
     build_model,
     debye_spectral_density,
@@ -38,8 +41,8 @@ def test_mode_counts_and_dimensions():
 
 def test_local_modes_match_reference_table():
     model = build_model("II")
-    for modes in model.modes_per_state:
-        table = np.array([(m.omega, m.kappa) for m in modes])
+    for sl in model.state_slices:
+        table = np.stack([model.omega[sl], model.kappa[sl]], axis=1)
         assert np.array_equal(table, LOCAL_MODES_EV)
 
 
@@ -49,10 +52,9 @@ def test_unknown_model_rejected():
 
 
 def test_debye_modes_reproduce_reference_table():
-    modes = discretize_debye(DEBYE_SPEC)
+    modes = discretize_debye(**DEBYE_SPEC)
     assert len(modes) == 70
-    omegas = np.array([m.omega for m in modes])
-    kappas = np.array([m.kappa for m in modes])
+    omegas, kappas = modes.T
     # frequencies sit exactly on the 12 cm^-1 grid
     assert np.allclose(omegas, 12.0 * CM1_TO_EV * np.arange(1, 71), rtol=0, atol=1e-15)
     assert np.all(np.diff(omegas) > 0)
@@ -62,44 +64,59 @@ def test_debye_modes_reproduce_reference_table():
 
 
 def test_debye_specific_rows():
-    modes = discretize_debye(DEBYE_SPEC)
-    assert modes[0].kappa == pytest.approx(0.00059338, rel=1e-3)
-    assert modes[41].omega == pytest.approx(0.06248824, rel=1e-3)
-    assert modes[41].kappa == pytest.approx(0.00270914, rel=1e-3)
+    modes = discretize_debye(**DEBYE_SPEC)
+    assert modes[0, 1] == pytest.approx(0.00059338, rel=1e-3)
+    assert modes[41, 0] == pytest.approx(0.06248824, rel=1e-3)
+    assert modes[41, 1] == pytest.approx(0.00270914, rel=1e-3)
 
 
 def test_debye_zero_reorganization_energy():
-    spec = DebyeBathSpec(reorg=0.0, omega_c=DEBYE_SPEC.omega_c,
-                         n_modes=10, delta_omega=DEBYE_SPEC.delta_omega)
-    assert all(m.kappa == 0.0 for m in discretize_debye(spec))
+    table = discretize_debye(reorg=0.0, omega_c=DEBYE_SPEC["omega_c"],
+                             n_modes=10, delta_omega=DEBYE_SPEC["delta_omega"])
+    assert all(kappa == 0.0 for kappa in table[:, 1])
 
 
 def test_debye_reorganization_energy_closure():
     """Sum kappa^2/(2 omega) must recover the truncated continuum integral."""
-    spec = DEBYE_SPEC
-    modes = discretize_debye(spec)
-    discrete = sum(m.kappa**2 / (2.0 * m.omega) for m in modes)
-    omega_max = spec.n_modes * spec.delta_omega
-    analytic = spec.reorg * (2.0 / np.pi) * np.arctan(omega_max / spec.omega_c)
+    reorg, omega_c = DEBYE_SPEC["reorg"], DEBYE_SPEC["omega_c"]
+    modes = discretize_debye(**DEBYE_SPEC)
+    discrete = sum(kappa**2 / (2.0 * omega) for omega, kappa in modes)
+    omega_max = DEBYE_SPEC["n_modes"] * DEBYE_SPEC["delta_omega"]
+    analytic = reorg * (2.0 / np.pi) * np.arctan(omega_max / omega_c)
     grid = np.linspace(1e-9, omega_max, 200001)
     quadrature = np.trapezoid(
-        debye_spectral_density(grid, spec.reorg, spec.omega_c) / grid, grid) / np.pi
+        debye_spectral_density(grid, reorg, omega_c) / grid, grid) / np.pi
     assert quadrature == pytest.approx(analytic, rel=1e-6)
     assert discrete == pytest.approx(analytic, rel=0.02)
 
 
 def test_bad_bath_specs_rejected():
     with pytest.raises(ValueError):
-        DebyeBathSpec(reorg=-1.0, omega_c=0.06, n_modes=70, delta_omega=0.0015)
+        discretize_debye(reorg=-1.0, omega_c=0.06, n_modes=70, delta_omega=0.0015)
     with pytest.raises(ValueError):
-        DebyeBathSpec(reorg=0.01, omega_c=0.06, n_modes=0, delta_omega=0.0015)
+        discretize_debye(reorg=0.01, omega_c=0.06, n_modes=0, delta_omega=0.0015)
 
 
 def test_mode_validation():
-    with pytest.raises(ValueError):
-        Mode(omega=0.0, kappa=0.1)
-    with pytest.raises(ValueError):
-        Mode(omega=0.1, kappa=float("nan"))
+    """A non-positive or non-finite frequency, or a non-finite coupling, is
+    refused, and the error names the state and the mode."""
+    v = [[0.0, 0.1], [0.1, 0.0]]
+    nan, inf = float("nan"), float("inf")
+    for omega, kappa in [(0.0, 0.1), (-0.1, 0.1), (nan, 0.1), (inf, 0.1),
+                         (0.1, nan), (0.1, inf), (0.1, -inf)]:
+        with pytest.raises(ValueError, match="state 0 mode 0"):
+            SiteExcitonModel("bad", v, [[(omega, kappa)], []])
+        with pytest.raises(ValueError, match="state 1 mode 2"):
+            SiteExcitonModel("bad", v, [[(0.1, 0.0)], [(0.1, 0.0), (0.2, 0.0), (omega, kappa)]])
+
+
+def test_mode_tables_need_pairs():
+    v = [[0.0, 0.1], [0.1, 0.0]]
+    for modes in ([[0.1, 0.2], []], [[(0.1, 0.2, 0.3)], []]):
+        with pytest.raises(ValueError, match="state 0 needs \\(omega, kappa\\) pairs"):
+            SiteExcitonModel("bad", v, modes)
+    table = SiteExcitonModel("ok", v, [np.array([[0.1, 0.2]]), np.empty((0, 2))])
+    assert table.state_slices == (slice(0, 1), slice(1, 1))
 
 
 def diagonal(model, Q):
@@ -118,7 +135,7 @@ def state(model, x_e=None, Q=None, P=None):
 
 
 def kappa_zeroed(model):
-    modes = [[Mode(m.omega, 0.0) for m in lst] for lst in model.modes_per_state]
+    modes = [[(w, 0.0) for w in model.omega[sl]] for sl in model.state_slices]
     return SiteExcitonModel(model.label + "-k0", model.v, modes)
 
 
@@ -155,7 +172,7 @@ def test_bath_energy_zero_and_single_mode():
     model = kappa_zeroed(build_model("I"))
     assert mm_energy(model, state(model)) == 0.0
     single = SiteExcitonModel("one-mode", [[0.0, 0.0], [0.0, 0.0]],
-                              [[Mode(0.2, 0.0)], []])
+                              [[(0.2, 0.0)], []])
     assert mm_energy(single, state(single, Q=np.array([1.0]))) == pytest.approx(0.1)
 
 
@@ -203,7 +220,9 @@ def test_config_round_trip(label, tmp_path):
     loaded = load_model(str(path))
     assert loaded.label == model.label
     assert np.array_equal(loaded.v, model.v)
-    assert loaded.modes_per_state == model.modes_per_state
+    assert loaded.omega.tobytes() == model.omega.tobytes()
+    assert loaded.kappa.tobytes() == model.kappa.tobytes()
+    assert loaded.state_slices == model.state_slices
 
 
 def test_config_rejects_garbage(tmp_path):
@@ -213,4 +232,97 @@ def test_config_rejects_garbage(tmp_path):
         load_model(str(path))
     path.write_text('{"n_states": 2}')
     with pytest.raises(ValueError, match="invalid model config"):
+        load_model(str(path))
+
+
+# sha256 of each built-in model's config file as `save_model` writes it
+CONFIG_SHA256 = {
+    "I": "6a7b85a03d2607186d52cc8cc32925d76c1b3ccad61101c20d7d26e4c168cb56",
+    "II": "63e2abbd66f0b0218adb154461546f3b624edcea12f2e958f30c648bf10808f6",
+    "III": "15f3fd1cc2b8f242f91b40103401b4f8e8ecf1f2256a00d4a65e3d493ce1d201",
+    "IV": "d9553f0e43764a71c4ed2f92a892c7adc59712e2b7b1945d15c6665274888c2f",
+    "V": "36ddd5a79a167665b37a369d139657a28a6a893691eb68fad19a103ed61f17cb",
+    "VI": "40929a15a056aa8081446cd8c520ec9c82de4509c768500a5bd6924a46230eb3",
+}
+
+
+@pytest.mark.parametrize("label", list(CONFIG_SHA256))
+def test_config_file_bytes(label, tmp_path):
+    path = tmp_path / f"{label}.json"
+    save_model(build_model(label), str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == CONFIG_SHA256[label]
+
+
+def number_places(config):
+    """Every place of a model config that holds a number, as key paths."""
+    places = [("n_states",)]
+    places += [("v", i, j) for i, row in enumerate(config["v"]) for j in range(len(row))]
+    places += [("modes_per_state", k, j, key)
+               for k, modes in enumerate(config["modes_per_state"])
+               for j in range(len(modes)) for key in ("omega", "kappa")]
+    return places
+
+
+def put(config, place, value):
+    """Set the entry at the key path `place` of a nested config; return the old one."""
+    *parents, last = place
+    for key in parents:
+        config = config[key]
+    old, config[last] = config[last], value
+    return old
+
+
+@pytest.mark.parametrize("place, value, message", [
+    (("modes_per_state", 0, 3, "omega"), True, "omega must be a JSON number, got true"),
+    (("modes_per_state", 1, 0, "kappa"), None, "kappa must be a JSON number, got null"),
+    (("n_states",), True, "n_states must be a JSON integer, got true"),
+    (("n_states",), 2.0, "n_states must be a JSON integer, got 2.0"),
+    (("v", 0, 1), "0.2", 'v must be a JSON number, got "0.2"'),
+    (("label",), 1, "label must be a string, got 1")])
+def test_config_refuses_non_numbers(tmp_path, place, value, message):
+    config = build_model("I").to_config()
+    put(config, place, value)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(config))
+    with pytest.raises(ValueError, match=f"invalid model config: {message}"):
+        load_model(str(path))
+
+
+@settings(max_examples=60, deadline=None)
+@given(label=st.sampled_from(list(SITE_MATRICES_EV)), data=st.data())
+def test_config_corrupted_number_is_refused(label, data):
+    """An uncorrupted config round-trips to the same bytes. One number of it
+    replaced at a drawn place by a non-number (n_states also by a float) is
+    refused, and the error names the key."""
+    model = build_model(label)
+    config = model.to_config()
+    place = data.draw(st.sampled_from(number_places(config)))
+    key = place[-1] if isinstance(place[-1], str) else "v"
+    number = put(config, place, None)
+    bad = [True, False, None, str(number), [number], {key: number}]
+    put(config, place, data.draw(st.sampled_from(bad + [float(number)] * (key == "n_states"))))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = f"{tmp}/model.json"
+        save_model(model, path)
+        with open(path, "rb") as fh:
+            text = fh.read()
+        save_model(load_model(path), path)
+        with open(path, "rb") as fh:
+            assert fh.read() == text
+        with open(path, "w") as fh:
+            json.dump(config, fh)
+        with pytest.raises(ValueError, match=f"invalid model config: {key} must be a JSON"):
+            load_model(path)
+
+
+def test_config_refuses_repeated_keys(tmp_path):
+    """A repeated key is refused by name, not resolved to its last value."""
+    good, path = tmp_path / "I.json", tmp_path / "dup.json"
+    save_model(build_model("I"), str(good))
+    text = good.read_text()
+    path.write_text(text.replace('"label": "I"', '"label": "I", "label": "II"'))
+    with pytest.raises(ValueError, match="not a model config: repeated key 'label'"):
+        load_model(str(path))
+    path.write_text(text.replace('"kappa": -0.0266,', '"kappa": -0.0266, "kappa": 0.0,', 1))
+    with pytest.raises(ValueError, match="repeated key 'kappa'"):
         load_model(str(path))
