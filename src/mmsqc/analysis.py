@@ -3,6 +3,7 @@ window-binned population deviations, per-DOF mean absolute errors at selected
 times, and time-resolved coordinate distributions.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -13,6 +14,7 @@ from mmsqc.sqc import (
     PopulationSeries,
     Trajectory,
     TrajectoryEnsemble,
+    _check_init_state,
     _map_chunks,
     _sample_starts,
     populations,
@@ -99,24 +101,31 @@ def _rollout_chunk(starts: np.ndarray, offset: int, out: np.ndarray, params: Lst
                        out[a:a + BLOCK], offset + a)
 
 
-def rollout_ensemble(model: SiteExcitonModel, params: LstmParams,
-                     cfg: RolloutConfig) -> TrajectoryEnsemble:
+def rollout_ensemble(model: SiteExcitonModel, params: LstmParams, cfg: RolloutConfig,
+                     out: np.ndarray | None = None) -> TrajectoryEnsemble | None:
     """Sample cfg.n_traj fresh initial conditions and replay each with the
     network. Initial draws use the same (seed, "sampling", i) streams as
     direct dynamics, so a reference ensemble with the same seed starts from
-    identical conditions.
+    identical conditions; each worker samples its own trajectories.
+
+    With `out`, a (n_traj, total_steps + 1, dim) float64 shared mapping
+    such as `ensemble_file` yields, forked workers (at least one) write the
+    replay there and nothing is returned.
     """
     if params.dim != model.dim:
         raise ValueError(
             f"checkpoint dimension {params.dim} does not match model "
             f"{model.label} dimension {model.dim}"
         )
-    starts = _sample_starts(model, cfg.n_traj, cfg.init_state, cfg.seed)
-    data = _map_chunks(_rollout_chunk, starts, (cfg.total_steps + 1, model.dim), cfg.workers,
-                       params, _fold_readout(params), cfg.total_steps, cfg.seq_len,
-                       grain=BLOCK)
-    return TrajectoryEnsemble(cfg.record_dt, data, model.n_states,
-                              model_label=model.label, seed=cfg.seed)
+    _check_init_state(model, cfg.init_state)   # fail before starting workers
+    data, _ = _map_chunks(_rollout_chunk, cfg.n_traj,
+                          functools.partial(_sample_starts, model, cfg.init_state, cfg.seed),
+                          (cfg.total_steps + 1, model.dim), cfg.workers, params,
+                          _fold_readout(params), cfg.total_steps, cfg.seq_len,
+                          grain=BLOCK, out=out)
+    if out is None:
+        return TrajectoryEnsemble(cfg.record_dt, data, model.n_states,
+                                  model_label=model.label, seed=cfg.seed)
 
 
 # ---------------------------------------------------------------------------

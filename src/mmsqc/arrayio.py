@@ -4,8 +4,9 @@ The one module that knows the format of trajectory ensembles, sequence
 datasets and network checkpoints. Callers name a kind, their own header
 fields and their payload arrays; this module stamps and checks `kind` and
 `version`, converts the typed fields, checks the payload length the header
-promises and streams payloads to and from disk without intermediate copies.
-Round trips are bit-exact; all writes are atomic (temp file + rename).
+promises, and streams payloads to and from disk without intermediate copies
+or maps a payload that writers fill in place. Round trips are bit-exact; all
+writes are atomic (temp file + rename).
 """
 
 import contextlib
@@ -83,6 +84,35 @@ def write_array_file(path: str, kind: str, header: dict, *payloads) -> None:
     with _atomic_file(path) as fh:
         for chunk in _chunks(kind, header, payloads):
             fh.write(chunk)
+
+
+@contextlib.contextmanager
+def mapped_array_file(path: str, kind: str, header: dict, shape):
+    """Write a `kind` file with one payload of `shape` that is filled in place.
+
+    Writes the header, reserves the payload's disk blocks and yields the
+    payload as a writable float64 array that maps the file (MAP_SHARED, so
+    processes forked inside the block fill it too). On success the file
+    appears under `path` with the bytes `write_array_file(path, kind,
+    header, payload)` writes; on an error it is removed. A full disk is an
+    OSError before the yield, never a fault in a writer. The mapping lives as
+    long as the array and its views; do not write through them after the
+    block. The payload is unaligned unless the header's length is a multiple
+    of 8."""
+    import mmap   # here, so that importing this module stays light
+
+    shape = tuple(shape)
+    with _atomic_file(path) as fh:   # mkstemp's descriptor is read-write
+        line = next(_chunks(kind, header, ()))
+        fh.write(line)
+        fh.flush()
+        size = len(line) + math.prod(shape) * PAYLOAD_DTYPE.itemsize
+        if hasattr(os, "posix_fallocate"):
+            os.posix_fallocate(fh.fileno(), 0, size)
+        else:   # pragma: no cover
+            fh.truncate(size)
+        mapping = mmap.mmap(fh.fileno(), size)
+        yield np.frombuffer(mapping, PAYLOAD_DTYPE, math.prod(shape), len(line)).reshape(shape)
 
 
 def file_sha256(kind: str, header: dict, *payloads) -> str:

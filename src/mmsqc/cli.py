@@ -154,19 +154,22 @@ def cmd_model(args) -> int:
 def cmd_simulate(args) -> int:
     model = models.resolve_model(args.model)
     init_state = _init_state_index(args.init_state, model)
-    t0 = time.perf_counter()
-    ensemble = sqc.run_ensemble(model, args.ntraj, init_state, args.seed,
-                                sqc.IntegratorConfig(dt_internal=args.dt),
-                                args.t_end, args.record_dt, workers=args.workers)
-    wall = time.perf_counter() - t0
-    energies = sqc.ensemble_energies(model, ensemble)
-    drift = float(np.max(np.abs(energies - energies[:, :1])))
+    icfg = sqc.IntegratorConfig(dt_internal=args.dt)
+    shape = (args.ntraj, sqc.record_count(args.t_end, args.record_dt), model.dim)
     run_config = {"command": "simulate", "model": model.label, "ntraj": args.ntraj,
                   "t_end": args.t_end, "record_dt": args.record_dt, "dt": args.dt,
                   "seed": args.seed, "init_state": init_state + 1}
-    ensemble.save(args.out, extra_header={"run_config": run_config})
+    t0 = time.perf_counter()
+    # the workers write their trajectories into the file and score their own drift
+    with sqc.ensemble_file(args.out, model, shape, args.record_dt, args.seed,
+                           {"run_config": run_config}) as out:
+        drift, norm_drift = sqc.run_ensemble(model, args.ntraj, init_state, args.seed, icfg,
+                                             args.t_end, args.record_dt,
+                                             workers=args.workers, out=out)
+    wall = time.perf_counter() - t0
     print(f"simulated {args.ntraj} trajectories of model {model.label} to {args.t_end:g} fs")
-    print(f"max energy drift {drift:.3e} eV, wall time {wall:.1f} s -> {args.out}")
+    print(f"max energy drift {drift:.3e} eV, max mapping-norm drift {norm_drift:.3e}, "
+          f"wall time {wall:.1f} s -> {args.out}")
     return 0
 
 
@@ -211,14 +214,16 @@ def cmd_rollout(args) -> int:
     cfg = analysis.RolloutConfig(n_traj=args.ntraj, total_steps=args.steps, seed=args.seed,
                                  seq_len=int(header["seq_len"]), init_state=init_state,
                                  record_dt=args.record_dt, workers=args.workers)
-    t0 = time.perf_counter()
-    ensemble = analysis.rollout_ensemble(model, params, cfg)
-    wall = time.perf_counter() - t0
     run_config = {"command": "rollout", "model": model.label,
                   "checkpoint": os.path.basename(args.checkpoint), "ntraj": args.ntraj,
                   "steps": args.steps, "record_dt": args.record_dt, "seed": args.seed,
                   "init_state": init_state + 1}
-    ensemble.save(args.out, extra_header={"run_config": run_config, "predicted": True})
+    t0 = time.perf_counter()
+    with sqc.ensemble_file(args.out, model, (args.ntraj, args.steps + 1, model.dim),
+                           args.record_dt, args.seed,
+                           {"run_config": run_config, "predicted": True}) as out:
+        analysis.rollout_ensemble(model, params, cfg, out=out)
+    wall = time.perf_counter() - t0
     print(f"rolled out {args.ntraj} trajectories x {args.steps} steps "
           f"(chunk length {cfg.seq_len}), wall time {wall:.1f} s -> {args.out}")
     return 0

@@ -50,6 +50,14 @@ def _json_number(x, key: str, kind=(int, float)):
     return x
 
 
+def _known_keys(obj: dict, keys: tuple) -> dict:
+    """`obj` if it has no key outside `keys`; else a ValueError naming one."""
+    unknown = sorted(obj.keys() - set(keys))
+    if unknown:
+        raise ValueError(f"invalid model config: unknown key {unknown[0]!r}")
+    return obj
+
+
 class SiteExcitonModel:
     """Diabatic matrix `v` plus the phonon modes of every state.
 
@@ -107,13 +115,17 @@ class SiteExcitonModel:
     @classmethod
     def from_config(cls, config: dict) -> "SiteExcitonModel":
         """The model of a parsed JSON config. Every `v`, `omega` and `kappa` entry must be
-        a JSON number, `n_states` a JSON integer and `label` a string."""
+        a JSON number, `n_states` a JSON integer and `label` a string; a key that no
+        field reads is refused."""
         try:
+            _known_keys(config, ("label", "n_states", "v", "modes_per_state"))
             label = config.get("label", "custom")
             n_states = _json_number(config["n_states"], "n_states", int)
             v = [[_json_number(x, "v") for x in row] for row in config["v"]]
+            modes = [[_known_keys(m, ("omega", "kappa")) for m in state_modes]
+                     for state_modes in config["modes_per_state"]]
             pairs = [[(_json_number(m["omega"], "omega"), _json_number(m["kappa"], "kappa"))
-                      for m in state_modes] for state_modes in config["modes_per_state"]]
+                      for m in state_modes] for state_modes in modes]
         except (AttributeError, KeyError, TypeError) as exc:
             raise ValueError(f"invalid model config: {exc}") from None
         if not isinstance(label, str):

@@ -23,6 +23,7 @@ ensemble in chunks of any size is bitwise identical to propagating it whole;
 worker count never changes results.
 """
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -161,6 +162,11 @@ class _Hamiltonian:
             out += col * swapped[:, l:l + 1]
         return out
 
+    def _norm(self, Y: np.ndarray) -> np.ndarray:
+        """Mapping norm sum_k (x_k^2 + p_k^2)/2 of every column, (n,)."""
+        E = Y[:2 * self.ne]
+        return 0.5 * _tree_sum_rows(E * E)
+
     def _energy(self, Y: np.ndarray) -> np.ndarray:
         """Energy of every column, (n,), in eV."""
         xe, pe, Q, P = _split(Y, self.ne, self.nv)
@@ -230,6 +236,38 @@ def assign_from_actions(n) -> np.ndarray:
 # initial sampling
 
 
+def _check_init_state(model: SiteExcitonModel, init_state: int) -> None:
+    if not 0 <= init_state < model.n_states:
+        raise ValueError(f"init_state {init_state} out of range for {model.n_states} states")
+
+
+def _draw_starts(model: SiteExcitonModel, init_state: int, rngs) -> np.ndarray:
+    """Initial conditions, (len(rngs), dim), row i drawn from rngs[i] alone:
+    its rejection attempts, then every angle in one draw. The radii and the
+    cosines and sines are formed once for all rows."""
+    _check_init_state(model, init_state)
+    ne, nv = model.n_states, model.n_modes
+    # e[:, 0] is the initial state's radius, e[:, 1:] the others' in state
+    # order; uniform(lo, hi) is lo + (hi - lo) u of one draw u, so adding lo
+    # (and scaling by 2 pi) after the loop gives the same doubles
+    e = np.empty((len(rngs), ne))
+    angles = np.empty((len(rngs), ne + nv))   # theta | phi
+    for i, rng in enumerate(rngs):
+        draw = e[i]
+        while True:   # e_init in [1, 2], the others in [0, 1], e_init + e_j <= 2
+            rng.random(out=draw)
+            if 1.0 + draw[0] + draw[1:].max(initial=0.0) <= 2.0:
+                break
+        rng.random(out=angles[i])
+    e[:, 0] += 1.0
+    angles *= 2.0 * np.pi
+    order = [init_state] + [k for k in range(ne) if k != init_state]
+    radius = np.sqrt(2.0 * e[:, np.argsort(order)])
+    cos, sin = np.cos(angles), np.sin(angles)
+    return np.concatenate([radius * cos[:, :ne], -radius * sin[:, :ne],
+                           cos[:, ne:], -sin[:, ne:]], axis=1)
+
+
 def sample_initial(model: SiteExcitonModel, init_state: int,
                    rng: np.random.Generator) -> np.ndarray:
     """Draw one initial condition, a (dim,) x_e|p_e|Q|P vector: triangle-window
@@ -240,21 +278,14 @@ def sample_initial(model: SiteExcitonModel, init_state: int,
     e_init + e_j <= 2); angles are uniform. Every nuclear mode starts on its
     zero-point ring Q = cos(phi), P = -sin(phi).
     """
-    ne = model.n_states
-    if not 0 <= init_state < ne:
-        raise ValueError(f"init_state {init_state} out of range for {ne} states")
-    others = [k for k in range(ne) if k != init_state]
-    e = np.empty(ne)
-    while True:
-        e[init_state] = rng.uniform(1.0, 2.0)
-        e[others] = rng.uniform(0.0, 1.0, size=ne - 1)
-        if np.all(e[init_state] + e[others] <= 2.0):
-            break
-    theta = rng.uniform(0.0, 2.0 * np.pi, size=ne)
-    radius = np.sqrt(2.0 * e)
-    phi = rng.uniform(0.0, 2.0 * np.pi, size=model.n_modes)
-    return np.concatenate([radius * np.cos(theta), -radius * np.sin(theta),
-                           np.cos(phi), -np.sin(phi)])
+    return _draw_starts(model, init_state, [rng])[0]
+
+
+def _sample_starts(model: SiteExcitonModel, init_state: int, seed: int,
+                   a: int, b: int) -> np.ndarray:
+    """Initial conditions of trajectories a..b-1, (b - a, dim); trajectory i
+    draws from the (seed, "sampling", i) stream."""
+    return _draw_starts(model, init_state, [substream(seed, "sampling", i) for i in range(a, b)])
 
 
 # ---------------------------------------------------------------------------
@@ -290,6 +321,14 @@ class Trajectory:
         return np.arange(self.n_records) * self.record_dt
 
 
+def _ensemble_header(model_label: str, n_states: int, shape: tuple, record_dt: float,
+                     seed: int | None) -> dict:
+    n_traj, n_records, dim = shape
+    return {"model": model_label, "n_traj": n_traj, "n_steps": n_records,
+            "record_dt": record_dt, "dim": dim, "n_states": n_states,
+            "ordering": STATE_ORDERING, "seed": seed}
+
+
 @dataclass
 class TrajectoryEnsemble:
     """Stack of same-grid trajectories, (n_traj, n_records, dim)."""
@@ -322,16 +361,8 @@ class TrajectoryEnsemble:
         return np.arange(self.n_records) * self.record_dt
 
     def header(self) -> dict:
-        return {
-            "model": self.model_label,
-            "n_traj": self.n_traj,
-            "n_steps": self.n_records,
-            "record_dt": self.record_dt,
-            "dim": self.dim,
-            "n_states": self.n_states,
-            "ordering": STATE_ORDERING,
-            "seed": self.seed,
-        }
+        return _ensemble_header(self.model_label, self.n_states, self.data.shape,
+                                self.record_dt, self.seed)
 
     def save(self, path: str, extra_header: dict | None = None) -> None:
         arrayio.write_array_file(path, arrayio.ENSEMBLE,
@@ -350,6 +381,16 @@ class TrajectoryEnsemble:
     def content_hash(self) -> str:
         """SHA-256 of the file `save` writes without an extra header."""
         return arrayio.file_sha256(arrayio.ENSEMBLE, self.header(), self.data)
+
+
+def ensemble_file(path: str, model: SiteExcitonModel, shape: tuple, record_dt: float,
+                  seed: int | None, extra_header: dict | None = None):
+    """Context manager that writes the file `TrajectoryEnsemble.save` would
+    write for a `shape` (n_traj, n_records, dim) ensemble of `model`, and
+    yields its payload to fill in place (`arrayio.mapped_array_file`)."""
+    header = _ensemble_header(model.label, model.n_states, shape, record_dt, seed)
+    return arrayio.mapped_array_file(path, arrayio.ENSEMBLE, {**header, **(extra_header or {})},
+                                     shape)
 
 
 # ---------------------------------------------------------------------------
@@ -447,17 +488,23 @@ class _BathRK4:
 
 
 def _propagate_batch(Y0: np.ndarray, offset: int, out: np.ndarray, model: SiteExcitonModel,
-                     icfg: IntegratorConfig, record_dt: float) -> None:
+                     icfg: IntegratorConfig, record_dt: float) -> tuple[float, float]:
     """Fixed-step RK4 on a (n, dim) batch, written into `out` (n, n_records,
-    dim). Row r is absolute trajectory `offset` + r in error messages."""
+    dim). Row r is absolute trajectory `offset` + r in error messages.
+    Returns the batch's largest energy drift |E(t) - E(0)| in eV and largest
+    mapping-norm drift |N(t) - N(0)|, N = sum_k (x_k^2 + p_k^2)/2; the
+    energies are the ones `mm_energy` gives, bit for bit."""
     n_rec = out.shape[1]
     n_sub = _grid_steps(record_dt, icfg.dt_internal, "record_dt")
     out[:, 0] = Y0
     Y = Y0.T.copy()   # variables-major for contiguous kernel ops; Y0 is left as it was
-    rk4 = _BathRK4(_Hamiltonian(model), record_dt / n_sub, Y)
+    ham = _Hamiltonian(model)
+    rk4 = _BathRK4(ham, record_dt / n_sub, Y)
     # a diverging trajectory overflows to inf; the finite check below reports
     # it, so the overflow warning itself would be redundant noise
     with np.errstate(over="ignore", invalid="ignore"):
+        energy0, norm0 = ham._energy(Y), ham._norm(Y)
+        energy_drift, norm_drift = np.zeros((2, len(Y0)))   # per trajectory; nan propagates
         for rec in range(1, n_rec):
             for _ in range(n_sub):
                 rk4.step()
@@ -469,6 +516,14 @@ def _propagate_batch(Y0: np.ndarray, offset: int, out: np.ndarray, model: SiteEx
                                        _variable_name(model, int(var)),
                                        offset + int(row))
             out[:, rec] = Y.T
+            np.maximum(energy_drift, np.abs(ham._energy(Y) - energy0), out=energy_drift)
+            np.maximum(norm_drift, np.abs(ham._norm(Y) - norm0), out=norm_drift)
+    return float(energy_drift.max()), float(norm_drift.max())
+
+
+def record_count(t_end: float, record_dt: float) -> int:
+    """Records of a run to t_end on the record_dt grid, t = 0 included."""
+    return _grid_steps(t_end, record_dt, "t_end") + 1
 
 
 def propagate(model: SiteExcitonModel, y0, icfg: IntegratorConfig, t_end: float,
@@ -479,19 +534,9 @@ def propagate(model: SiteExcitonModel, y0, icfg: IntegratorConfig, t_end: float,
     if y0.shape != (model.dim,):
         raise ValueError(f"model {model.label} needs a ({model.dim},) initial state, "
                          f"got shape {y0.shape}")
-    out = np.empty((1, _grid_steps(t_end, record_dt, "t_end") + 1, model.dim))
+    out = np.empty((1, record_count(t_end, record_dt), model.dim))
     _propagate_batch(y0[None, :], 0, out, model, icfg, record_dt)
     return Trajectory(record_dt, out[0], model.n_states)
-
-
-def _sample_starts(model: SiteExcitonModel, n_traj: int, init_state: int,
-                   seed: int) -> np.ndarray:
-    """Initial conditions, (n_traj, dim); trajectory i draws from the
-    (seed, "sampling", i) stream."""
-    starts = np.empty((n_traj, model.dim))
-    for i in range(n_traj):
-        starts[i] = sample_initial(model, init_state, substream(seed, "sampling", i))
-    return starts
 
 
 _CHUNK_JOB = None   # (work, starts, out, args); set only in fan-out worker processes
@@ -502,44 +547,58 @@ def _set_chunk_job(*job) -> None:
     _CHUNK_JOB = job
 
 
-def _run_chunk(a: int, b: int) -> None:
+def _run_chunk(a: int, b: int):
     work, starts, out, args = _CHUNK_JOB
-    work(starts[a:b], a, out[a:b], *args)
+    return work(starts(a, b), a, out[a:b], *args)
 
 
-def _map_chunks(work, starts: np.ndarray, row_shape: tuple, workers: int, *args,
-                grain: int = 1) -> np.ndarray:
-    """Run work(starts[a:b], a, out[a:b], *args) over contiguous trajectory
-    chunks, one per worker process, and return `out`, (n, *row_shape) float64.
-    `work` writes its rows of `out` in place; a single chunk runs in this
-    process. `a` is the chunk's first absolute trajectory index, for error
-    messages. Chunks hold whole grains of `grain` trajectories, so every `a`
-    is a multiple of it and no chunk is empty.
+def _is_shared_mapping(arr: np.ndarray) -> bool:
+    import mmap
 
-    With two or more workers, `out` lives in an anonymous shared mapping that
-    the forked workers inherit, so no chunk is sent back or stacked: the
-    parent holds one copy of the output, and the mapping lives as long as the
-    returned array.
+    while isinstance(arr, np.ndarray):
+        arr = arr.base
+    return isinstance(getattr(arr, "obj", arr), mmap.mmap)   # np.frombuffer, np.memmap
+
+
+def _map_chunks(work, n: int, starts, row_shape: tuple, workers: int, *args,
+                grain: int = 1, out: np.ndarray | None = None) -> tuple[np.ndarray, list]:
+    """Run work(starts(a, b), a, out[a:b], *args) over contiguous chunks
+    [a, b) of n trajectories, one per worker process, and return `out`,
+    (n, *row_shape) float64, with the list of what each chunk's `work`
+    returned, in chunk order. `starts(a, b)` gives the chunk's start vectors
+    and runs where the chunk runs; `work` writes its rows of `out` in place.
+    `a` is the chunk's first absolute trajectory index, for error messages.
+    Chunks hold whole grains of `grain` trajectories, so every `a` is a
+    multiple of it and no chunk is empty.
+
+    A given `out` must be a shared mapping (such as `ensemble_file` yields);
+    its chunks run in forked workers, at least one, so this process never
+    touches it. Otherwise a single chunk runs in this process, and two or
+    more workers fill an anonymous shared mapping that lives as long as the
+    returned array. Either way no chunk is sent back or stacked.
 
     Every chunk runs to the end. If any failed, the failure with the
     earliest time `t` is raised (a failure without one counts as t = 0),
     ties going to chunk order, so the error does not depend on the chunk
     count."""
-    n = starts.shape[0]
     shape = (n, *row_shape)
+    if out is not None and (out.shape != shape or out.dtype != np.float64
+                            or not out.flags.writeable or not _is_shared_mapping(out)):
+        raise ValueError(f"out must be a writable float64 shared mapping of shape {shape}, "
+                         f"got a {out.dtype} array of shape {out.shape}")
     grains = -(-n // grain)
     workers = max(1, min(workers, grains))
-    if workers == 1:
+    if workers == 1 and out is None:
         out = np.empty(shape)
-        work(starts, 0, out, *args)
-        return out
+        return out, [work(starts(0, n), 0, out, *args)]
     # imported here, for the fan-out only: at the top they would slow every
     # import of this module and add to its RSS
     import concurrent.futures
     import mmap
     import multiprocessing
 
-    out = np.frombuffer(mmap.mmap(-1, 8 * int(np.prod(shape))), dtype=float).reshape(shape)
+    if out is None:
+        out = np.frombuffer(mmap.mmap(-1, 8 * int(np.prod(shape))), dtype=float).reshape(shape)
     bounds = np.minimum(np.linspace(0, grains, workers + 1).astype(int) * grain, n)
     # fork, so the workers inherit `out` (and the job) instead of a pickled copy
     with concurrent.futures.ProcessPoolExecutor(
@@ -550,24 +609,34 @@ def _map_chunks(work, starts: np.ndarray, row_shape: tuple, workers: int, *args,
     failures = [exc for exc in (fut.exception() for fut in futures) if exc is not None]
     if failures:
         raise min(failures, key=lambda exc: getattr(exc, "t", 0.0))
-    return out
+    return out, [fut.result() for fut in futures]
 
 
 def run_ensemble(model: SiteExcitonModel, n_traj: int, init_state: int, seed: int,
                  icfg: IntegratorConfig, t_end: float, record_dt: float,
-                 workers: int = 1) -> TrajectoryEnsemble:
+                 workers: int = 1, out: np.ndarray | None = None):
     """Sample and propagate n_traj independent trajectories.
 
     Trajectory i draws its initial condition from the (seed, "sampling", i)
     stream, and chunked propagation is bitwise chunk-size-invariant, so
     results are reproducible and independent of `workers` (process-based).
+    Each worker samples its own trajectories.
+
+    With `out`, a (n_traj, n_records, dim) float64 shared mapping such as
+    `ensemble_file` yields, forked workers (at least one) write the
+    trajectories there, and the result is not an ensemble but its largest
+    energy drift |E(t) - E(0)| in eV and largest mapping-norm drift
+    |N(t) - N(0)|, each worker scoring its own trajectories.
     """
     if n_traj < 1:
         raise ValueError("n_traj must be at least 1")
-    n_rec = _grid_steps(t_end, record_dt, "t_end") + 1   # fail before starting workers
-    Y0 = _sample_starts(model, n_traj, init_state, seed)
-    data = _map_chunks(_propagate_batch, Y0, (n_rec, model.dim), workers,
-                       model, icfg, record_dt)
+    _check_init_state(model, init_state)   # fail before starting workers
+    n_rec = record_count(t_end, record_dt)
+    data, drifts = _map_chunks(_propagate_batch, n_traj,
+                               functools.partial(_sample_starts, model, init_state, seed),
+                               (n_rec, model.dim), workers, model, icfg, record_dt, out=out)
+    if out is not None:
+        return tuple(np.max(drifts, axis=0).tolist())
     return TrajectoryEnsemble(record_dt, data, model.n_states,
                               model_label=model.label, seed=seed)
 

@@ -40,6 +40,11 @@ def small_model():
                             [[(0.1, 0.01)], [(0.12, -0.02)]])
 
 
+def rows_of(starts):
+    """`_map_chunks`' start vectors of trajectories a..b-1 from a fixed (n, dim) array."""
+    return lambda a, b: starts[a:b]
+
+
 def sampled_ensemble(model, n_traj, seed, n_records=1):
     """Ensemble of initial samples copied over a trivial time grid."""
     data = np.empty((n_traj, n_records, model.dim))
@@ -180,11 +185,11 @@ def test_rollout_dimension_mismatch_fails_before_sampling():
 def test_fan_out_error_names_absolute_trajectory(workers):
     model = small_model()
     params = init_params(model.dim, 6, np.random.default_rng(4))
-    starts = _sample_starts(model, 6, 0, 2)
+    starts = _sample_starts(model, 0, 2, 0, 6)
     starts[4, 0] = np.nan
     with pytest.raises(RolloutError) as err:
-        _map_chunks(_rollout_chunk, starts, (7, model.dim), workers, params,
-                    _fold_readout(params), 6, 3)
+        _map_chunks(_rollout_chunk, len(starts), rows_of(starts), (7, model.dim), workers,
+                    params, _fold_readout(params), 6, 3)
     assert err.value.trajectory == 4
     assert err.value.step == 1
 
@@ -210,13 +215,13 @@ def test_rollout_block_edges(n_traj, seed):
         alone = rollout_trajectory(base.data[i, 0], params, 7, 4, model.n_states)
         assert np.array_equal(alone.data, base.data[i])
 
-    starts = _sample_starts(model, n_traj, 0, seed)
+    starts = _sample_starts(model, 0, seed, 0, n_traj)
     bad = min(70, n_traj - 1)
     starts[bad, 0] = np.nan
     for workers in (1, 2):
         with pytest.raises(RolloutError) as err:
-            _map_chunks(_rollout_chunk, starts, (8, model.dim), workers, params,
-                        _fold_readout(params), 7, 4, grain=BLOCK)
+            _map_chunks(_rollout_chunk, len(starts), rows_of(starts), (8, model.dim), workers,
+                        params, _fold_readout(params), 7, 4, grain=BLOCK)
         assert (err.value.step, err.value.trajectory) == (1, bad)
 
 
@@ -249,8 +254,8 @@ def test_rollout_error_names_first_failure_in_block(workers):
         steps.append(err.value.step)
     assert steps == [11, 2, 2]
     with pytest.raises(RolloutError) as err:
-        _map_chunks(_rollout_chunk, starts, (21, 2), workers, params, _fold_readout(params),
-                    20, 30, grain=BLOCK)
+        _map_chunks(_rollout_chunk, len(starts), rows_of(starts), (21, 2), workers, params,
+                    _fold_readout(params), 20, 30, grain=BLOCK)
     assert (err.value.step, err.value.trajectory) == (2, early)
 
 

@@ -1,7 +1,9 @@
 """Properties of the array container, checked for all three file kinds."""
 
+import errno
 import hashlib
 import json
+import os
 import tempfile
 from pathlib import Path
 
@@ -168,3 +170,56 @@ def test_negative_size_in_header_is_a_header_error(tmp_path):
     path.write_bytes(with_header(path.read_bytes(), edit))
     with pytest.raises(arrayio.HeaderError, match="negative"):
         TrajectoryEnsemble.load(str(path))
+
+
+# ---------------------------------------------------------------------------
+# the mapped writer
+
+
+@pytest.mark.parametrize("pad", range(8))   # header lengths of every residue mod 8
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_mapped_file_equals_the_written_file(pad, data):
+    """A payload filled through `mapped_array_file` gives the bytes
+    `write_array_file` writes, aligned or not, and reads back bit-exact."""
+    shape = data.draw(st.lists(st.integers(0, 4), min_size=1, max_size=3).map(tuple))
+    payload = data.draw(any_floats(shape))
+    header = {"pad": "x" * pad, "n": list(shape)}
+    with tempfile.TemporaryDirectory() as tmp:
+        written, mapped = f"{tmp}/written", f"{tmp}/mapped"
+        arrayio.write_array_file(written, arrayio.ENSEMBLE, header, payload)
+        head = len(Path(written).read_bytes()) - payload.nbytes
+        with arrayio.mapped_array_file(mapped, arrayio.ENSEMBLE, header, shape) as out:
+            assert out.shape == shape and out.dtype == np.float64 and out.flags.writeable
+            assert payload.size == 0 or out.flags.aligned == (head % 8 == 0)
+            out[...] = payload
+        assert Path(mapped).read_bytes() == Path(written).read_bytes()
+        _, (back,) = arrayio.read_array_file(mapped, arrayio.ENSEMBLE,
+                                             lambda h: [tuple(h["n"])])
+        assert back.tobytes() == payload.tobytes()
+        assert sorted(p.name for p in Path(tmp).iterdir()) == ["mapped", "written"]
+
+
+def test_mapped_file_fails_cleanly(tmp_path, monkeypatch):
+    """An error inside the block, or a full disk when the payload's blocks
+    are reserved, leaves neither the file nor a temp file, and an older file
+    under the same name as it was."""
+    path = tmp_path / "e.traj"
+    with pytest.raises(KeyError):
+        with arrayio.mapped_array_file(str(path), arrayio.ENSEMBLE, {}, (3, 2)) as out:
+            out[0] = 1.0
+            raise KeyError("in the block")
+    assert list(tmp_path.iterdir()) == []
+
+    path.write_bytes(b"older")
+
+    def full(fd, offset, length):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(os, "posix_fallocate", full, raising=False)
+    with pytest.raises(OSError) as err:
+        with arrayio.mapped_array_file(str(path), arrayio.ENSEMBLE, {}, (1 << 20, 64)):
+            pytest.fail("the block ran on a full disk")
+    assert err.value.errno == errno.ENOSPC
+    assert [p.name for p in tmp_path.iterdir()] == ["e.traj"]
+    assert path.read_bytes() == b"older"

@@ -2,6 +2,8 @@ import csv
 import json
 import os
 import string
+import subprocess
+import sys
 from unittest import mock
 
 import numpy as np
@@ -9,11 +11,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mmsqc import cli
-from mmsqc.analysis import RolloutConfig
+from mmsqc.analysis import RolloutConfig, rollout_ensemble
 from mmsqc.cli import main
 from mmsqc.dataset import SequenceDataset
 from mmsqc.models import build_model, load_model
-from mmsqc.sqc import IntegratorConfig, TrajectoryEnsemble
+from mmsqc.sqc import IntegratorConfig, TrajectoryEnsemble, ensemble_energies, run_ensemble
 from mmsqc.surrogate import load_checkpoint
 
 
@@ -69,6 +71,84 @@ def test_simulate_reruns_are_byte_identical(tmp_path):
     assert run(*common, "--out", b) == 0
     assert run(*common, "--workers", 2, "--out", c) == 0
     assert a.read_bytes() == b.read_bytes() == c.read_bytes()
+
+
+def test_simulate_prints_the_drift_of_the_written_ensemble(tmp_path, capsys):
+    """The drift line the workers score is the one `ensemble_energies` and
+    the mapping norm of the written file give."""
+    out = tmp_path / "e.traj"
+    assert run("simulate", "--model", "III", "--ntraj", 9, "--t-end", 6, "--dt", 0.05,
+               "--seed", 2, "--workers", 2, "--out", out) == 0
+    printed = capsys.readouterr().out
+    ens = TrajectoryEnsemble.load(str(out))
+    model = build_model("III")
+    energies = ensemble_energies(model, ens)
+    E = ens.data[:, :, :2 * model.n_states]
+    norm = 0.5 * np.sum(E * E, axis=-1)
+    drift = np.max(np.abs(energies - energies[:, :1]))
+    norm_drift = np.max(np.abs(norm - norm[:, :1]))
+    assert (f"max energy drift {drift:.3e} eV, max mapping-norm drift {norm_drift:.3e}, "
+            in printed)
+
+
+def test_simulate_and_rollout_write_what_save_writes(tiny_pipeline, tmp_path):
+    """The files that the workers fill in place are the same bytes at 1, 2
+    and 3 workers, and the bytes `TrajectoryEnsemble.save` writes for the
+    ensemble `run_ensemble` or `rollout_ensemble` returns."""
+    _, paths = tiny_pipeline
+    model = build_model("I")
+    params, ckpt = load_checkpoint(str(paths["ckpt"]))
+    saved = tmp_path / "saved.traj"
+    files = {}
+    for w in (1, 2, 3):
+        files["simulate", w] = tmp_path / f"sim{w}.traj"
+        assert run("simulate", "--model", "I", "--ntraj", 70, "--t-end", 3, "--dt", 0.05,
+                   "--seed", 5, "--workers", w, "--out", files["simulate", w]) == 0
+        files["rollout", w] = tmp_path / f"pred{w}.traj"
+        assert run("rollout", "--model", "I", "--checkpoint", paths["ckpt"], "--ntraj", 130,
+                   "--steps", 6, "--seed", 5, "--workers", w,
+                   "--out", files["rollout", w]) == 0
+    for command in ("simulate", "rollout"):
+        raw = files[command, 1].read_bytes()
+        assert files[command, 2].read_bytes() == raw == files[command, 3].read_bytes()
+        header = json.loads(raw.split(b"\n", 1)[0])
+        if command == "simulate":
+            ens = run_ensemble(model, 70, 0, 5, IntegratorConfig(0.05), 3.0, 1.0)
+        else:
+            ens = rollout_ensemble(model, params, RolloutConfig(130, 6, ckpt["seq_len"], seed=5))
+        extra = {key: header[key] for key in ("run_config", "predicted") if key in header}
+        ens.save(str(saved), extra_header=extra)
+        assert saved.read_bytes() == raw
+
+
+CLI_MEMORY_PROBE = """
+import resource, sys
+from mmsqc import cli
+
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+code = cli.main(["simulate", "--model", "I", "--ntraj", "3400", "--t-end", "50",
+                 "--dt", "0.5", "--workers", sys.argv[2], "--out", sys.argv[1]])
+grown = (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before) * 1024
+print(code, grown / (3400 * 51 * 36 * 8))
+"""
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_simulate_parent_never_holds_the_ensemble(tmp_path, workers):
+    """`mmsqc simulate` on a 50 MB payload (3400 x 51 x 36 doubles) grows
+    the parent's peak RSS by less than a quarter payload, at one worker as
+    at two: forked workers sample, write into the mapped output file and
+    score the drift, so the parent touches no payload page. (Reading the
+    ensemble back, for the drift or to save it, grew it by about one
+    payload.) Run in a fresh interpreter so that the high-water mark starts
+    from a clean import."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    probe = subprocess.run([sys.executable, "-c", CLI_MEMORY_PROBE, str(tmp_path / "e.traj"),
+                            str(workers)],
+                           env=env, capture_output=True, text=True, check=True, timeout=300)
+    code, ratio = probe.stdout.splitlines()[-1].split()
+    assert code == "0" and float(ratio) < 0.25
 
 
 def test_usage_errors_exit_2(tmp_path, capsys):
@@ -393,10 +473,13 @@ def test_hist_negative_exponent_in_equals_form(tmp_path):
     (lambda text: text.replace('"omega": 0.068', '"omega": true'), "omega"),
     (lambda text: text.replace('"n_states": 2', '"n_states": true'), "n_states"),
     (lambda text: json.dumps({**json.loads(text), "v": [["0", "0.2"], ["0.2", "0"]]}), "v"),
-    (lambda text: text.replace('"label": "I"', '"label": "I", "label": "II"'), "label")])
+    (lambda text: text.replace('"label": "I"', '"label": "I", "label": "II"'), "label"),
+    (lambda text: text.replace('"label"', '"lable"'), "lable"),
+    (lambda text: text.replace('"kappa": -0.0266,', '"kappa": -0.0266, "kapa": 0.0,', 1),
+     "kapa")])
 def test_model_config_refuses_non_numbers_and_repeats(tmp_path, capsys, corrupt, key):
-    """A model file whose numbers are not JSON numbers, or whose keys repeat,
-    is refused by key."""
+    """A model file whose numbers are not JSON numbers, whose keys repeat or
+    that holds a key no field reads, is refused by key."""
     good, bad = tmp_path / "I.json", tmp_path / "bad.json"
     assert run("model", "--id", "I", "--out", good) == 0
     bad.write_text(corrupt(good.read_text()))

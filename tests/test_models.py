@@ -1,5 +1,6 @@
 import hashlib
 import json
+import string
 import tempfile
 
 import numpy as np
@@ -313,6 +314,36 @@ def test_config_corrupted_number_is_refused(label, data):
             json.dump(config, fh)
         with pytest.raises(ValueError, match=f"invalid model config: {key} must be a JSON"):
             load_model(path)
+
+
+@settings(max_examples=60, deadline=None)
+@given(label=st.sampled_from(list(SITE_MATRICES_EV)), data=st.data())
+def test_config_refuses_unknown_keys(label, data):
+    """A built-in config round-trips to its pinned bytes. One extra key
+    inserted at a drawn place, top level or in a drawn mode, is refused by
+    name, not ignored."""
+    config = build_model(label).to_config()
+    modes = [m for state_modes in config["modes_per_state"] for m in state_modes]
+    place = data.draw(st.sampled_from([config, *modes]))
+    known = {"label", "n_states", "v", "modes_per_state", "omega", "kappa"}
+    key = data.draw(st.sampled_from(["lable", "kapa", "Omega", "mode", ""])
+                    | st.text(string.ascii_letters + "_ ", max_size=8).filter(
+                        lambda k: k not in known))
+    place[key] = data.draw(st.sampled_from([0.1, "x", None, [], {}]))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = f"{tmp}/model.json"
+        save_model(load_model_text(path, build_model(label).to_config()), path)
+        with open(path, "rb") as fh:
+            assert hashlib.sha256(fh.read()).hexdigest() == CONFIG_SHA256[label]
+        with pytest.raises(ValueError, match=f"invalid model config: unknown key {key!r}"):
+            load_model_text(path, config)
+
+
+def load_model_text(path, config):
+    """Write `config` as JSON to `path` and load it as a model."""
+    with open(path, "w") as fh:
+        json.dump(config, fh)
+    return load_model(path)
 
 
 def test_config_refuses_repeated_keys(tmp_path):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import mmsqc
-from mmsqc import arrayio
+from mmsqc import arrayio, sqc
 from mmsqc.models import HBAR_EV_FS, SiteExcitonModel, build_model
 from mmsqc.sqc import (
     ENERGY_CHUNK,
@@ -42,6 +42,11 @@ def deriv(model, y):
     """Hamilton's equations at one x_e|p_e|Q|P vector, in 1/fs."""
     Y = y[:, None]
     return FullStateDeriv(model).deriv(Y, np.empty_like(Y))[:, 0]
+
+
+def rows_of(starts):
+    """`_map_chunks`' start vectors of trajectories a..b-1 from a fixed (n, dim) array."""
+    return lambda a, b: starts[a:b]
 
 
 def blocks(model, y):
@@ -345,6 +350,46 @@ def test_sample_initial_bad_state_index():
         sample_initial(build_model("I"), 2, np.random.default_rng(0))
 
 
+def one_at_a_time(model, init_state, rng):
+    """The sampler drawn one value group at a time: the initial state's
+    radius, the others', each attempt until it lies in the window, then theta
+    and phi in two draws."""
+    ne = model.n_states
+    others = [k for k in range(ne) if k != init_state]
+    e = np.empty(ne)
+    while True:
+        e[init_state] = rng.uniform(1.0, 2.0)
+        e[others] = rng.uniform(0.0, 1.0, size=ne - 1)
+        if np.all(e[init_state] + e[others] <= 2.0):
+            break
+    theta = rng.uniform(0.0, 2.0 * np.pi, size=ne)
+    radius = np.sqrt(2.0 * e)
+    phi = rng.uniform(0.0, 2.0 * np.pi, size=model.n_modes)
+    return np.concatenate([radius * np.cos(theta), -radius * np.sin(theta),
+                           np.cos(phi), -np.sin(phi)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(model=custom_models(), init=st.integers(0, 2), a=st.integers(0, 40),
+       count=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
+@example(model=SiteExcitonModel("one", [[0.1]], [[(0.1, 0.02)]]), init=0, a=0, count=5, seed=3)
+def test_batched_sampling_draws_the_same_starts(model, init, a, count, seed):
+    """Rows a..b-1 of one batched draw are, bit for bit, the starts that
+    `sample_initial` and the one-group-at-a-time sampler give trajectory i
+    from its own (seed, "sampling", i) stream, and a sequence of draws from
+    one generator consumes it in the same order."""
+    init, b = init % model.n_states, a + count
+    batch = _sample_starts(model, init, seed, a, b)
+    for i in range(a, b):
+        alone = sample_initial(model, init, substream(seed, "sampling", i))
+        reference = one_at_a_time(model, init, substream(seed, "sampling", i))
+        assert batch[i - a].tobytes() == alone.tobytes() == reference.tobytes()
+    rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(3):
+        assert (sample_initial(model, init, rng).tobytes()
+                == one_at_a_time(model, init, reference).tobytes())
+
+
 # ---------------------------------------------------------------------------
 # propagation
 
@@ -521,6 +566,39 @@ def test_run_ensemble_shapes_and_determinism():
     assert np.array_equal(single.data, ens.data[3])
 
 
+@pytest.mark.parametrize("label, workers", [("I", 1), ("III", 2), ("V", 3)])
+def test_workers_score_the_drift_of_their_trajectories(label, workers, tmp_path):
+    """Written into `out`, the ensemble is the one `run_ensemble` returns, and
+    the drifts its workers score are the largest |E(t) - E(0)| through
+    `ensemble_energies`, bit for bit, and the largest mapping-norm drift."""
+    model = build_model(label)
+    icfg, n_traj = IntegratorConfig(0.05), 7
+    ens = run_ensemble(model, n_traj, 0, 4, icfg, 3.0, 1.0)
+    with sqc.ensemble_file(str(tmp_path / "e.traj"), model, ens.data.shape, 1.0, 4) as out:
+        drift, norm_drift = run_ensemble(model, n_traj, 0, 4, icfg, 3.0, 1.0,
+                                         workers=workers, out=out)
+        assert out.tobytes() == ens.data.tobytes()
+    energies = ensemble_energies(model, ens)
+    assert drift == np.max(np.abs(energies - energies[:, :1])) > 0.0
+    assert norm_drift == pytest.approx(mapping_norm_drift(model, ens).max(), rel=1e-6, abs=1e-15)
+
+
+def test_out_must_be_a_shared_mapping_of_the_ensembles_shape():
+    model = build_model("I")
+    icfg = IntegratorConfig(0.05)
+    shared = np.frombuffer(mmap.mmap(-1, 8 * 3 * 3 * model.dim)).reshape(3, 3, model.dim)
+    with pytest.raises(ValueError, match="shape"):
+        run_ensemble(model, 3, 0, 1, icfg, 2.0, 1.0, out=shared[:, :2])
+    for workers in (1, 2):   # the forked workers' writes to a private array would be lost
+        with pytest.raises(ValueError, match="shared mapping"):
+            run_ensemble(model, 3, 0, 1, icfg, 2.0, 1.0, workers=workers,
+                         out=np.empty((3, 3, model.dim)))
+    run_ensemble(model, 3, 0, 1, icfg, 2.0, 1.0, out=shared)
+    assert shared.tobytes() == run_ensemble(model, 3, 0, 1, icfg, 2.0, 1.0).data.tobytes()
+    with pytest.raises(ValueError, match="init_state"):
+        run_ensemble(model, 3, 2, 1, icfg, 2.0, 1.0, workers=2)
+
+
 def test_run_ensemble_worker_invariance():
     model = build_model("I")
     icfg = IntegratorConfig(0.05)
@@ -535,20 +613,20 @@ def test_fan_out_error_names_absolute_trajectory(workers):
     """The error names the earliest time, then the lowest trajectory, then
     its lowest variable, at any worker count."""
     model = build_model("I")
-    Y0 = _sample_starts(model, 6, 0, 5)
+    Y0 = _sample_starts(model, 0, 5, 0, 6)
     Y0[4, 0] = 1e200   # overflows within the first recording interval
     with pytest.raises(IntegrationError) as err:
-        _map_chunks(_propagate_batch, Y0, (3, model.dim), workers,
+        _map_chunks(_propagate_batch, len(Y0), rows_of(Y0), (3, model.dim), workers,
                     model, IntegratorConfig(0.05), 1.0)
     assert err.value.trajectory == 4
     # trajectory 1 (amplified 50x) overflows by t = 2, trajectory 5 by t = 1;
     # amplified 100x, both overflow by t = 1
     for factor, t, trajectory in [(50.0, 1.0, 5), (100.0, 1.0, 1)]:
-        Y0 = _sample_starts(model, 6, 0, 5)
+        Y0 = _sample_starts(model, 0, 5, 0, 6)
         Y0[1, :4] *= factor
         Y0[5, 0] = 1e200
         with pytest.raises(IntegrationError) as err:
-            _map_chunks(_propagate_batch, Y0, (11, model.dim), workers,
+            _map_chunks(_propagate_batch, len(Y0), rows_of(Y0), (11, model.dim), workers,
                         model, IntegratorConfig(0.05), 1.0)
         assert (err.value.t, err.value.trajectory, err.value.variable) == (t, trajectory, "x_e[0]")
     # no modes, no coupling: trajectory 0 fails only in state 1, trajectory 1
@@ -557,7 +635,7 @@ def test_fan_out_error_names_absolute_trajectory(workers):
     Y0 = np.ones((2, none.dim))
     Y0[0, 3] = Y0[1, 2] = np.inf
     with pytest.raises(IntegrationError) as err:
-        _map_chunks(_propagate_batch, Y0, (3, none.dim), workers,
+        _map_chunks(_propagate_batch, len(Y0), rows_of(Y0), (3, none.dim), workers,
                     none, IntegratorConfig(0.05), 1.0)
     assert (err.value.t, err.value.trajectory, err.value.variable) == (1.0, 0, "x_e[1]")
 
