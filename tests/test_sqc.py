@@ -373,8 +373,8 @@ def one_at_a_time(model, init_state, rng):
 @given(model=custom_models(), init=st.integers(0, 2), a=st.integers(0, 40),
        count=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
 @example(model=SiteExcitonModel("one", [[0.1]], [[(0.1, 0.02)]]), init=0, a=0, count=5, seed=3)
-def test_batched_sampling_draws_the_same_starts(model, init, a, count, seed):
-    """Rows a..b-1 of one batched draw are, bit for bit, the starts that
+def test_chunk_sampling_draws_the_same_starts(model, init, a, count, seed):
+    """Rows a..b-1 of a chunk's draw are, bit for bit, the starts that
     `sample_initial` and the one-group-at-a-time sampler give trajectory i
     from its own (seed, "sampling", i) stream, and a sequence of draws from
     one generator consumes it in the same order."""
@@ -583,18 +583,28 @@ def test_workers_score_the_drift_of_their_trajectories(label, workers, tmp_path)
     assert norm_drift == pytest.approx(mapping_norm_drift(model, ens).max(), rel=1e-6, abs=1e-15)
 
 
-def test_out_must_be_a_shared_mapping_of_the_ensembles_shape():
+def test_out_must_be_a_shared_mapping_of_the_ensembles_shape(tmp_path):
     model = build_model("I")
     icfg = IntegratorConfig(0.05)
-    shared = np.frombuffer(mmap.mmap(-1, 8 * 3 * 3 * model.dim)).reshape(3, 3, model.dim)
+    shape = (3, 3, model.dim)
+    path = tmp_path / "out"
+    shared = np.memmap(path, np.float64, "w+", shape=shape)
     with pytest.raises(ValueError, match="shape"):
         run_ensemble(model, 3, 0, 1, icfg, 2.0, 1.0, out=shared[:, :2])
-    for workers in (1, 2):   # the forked workers' writes to a private array would be lost
-        with pytest.raises(ValueError, match="shared mapping"):
-            run_ensemble(model, 3, 0, 1, icfg, 2.0, 1.0, workers=workers,
-                         out=np.empty((3, 3, model.dim)))
-    run_ensemble(model, 3, 0, 1, icfg, 2.0, 1.0, out=shared)
-    assert shared.tobytes() == run_ensemble(model, 3, 0, 1, icfg, 2.0, 1.0).data.tobytes()
+    # the forked workers' rows would be lost in a private array or a
+    # copy-on-write mapping; a view's `offset` is not its place in the file
+    for private in (np.empty(shape), np.memmap(path, np.float64, "c", shape=shape),
+                    np.frombuffer(mmap.mmap(-1, 8 * shared.size)).reshape(shape),
+                    shared.transpose(1, 0, 2)):
+        for workers in (1, 2):
+            with pytest.raises(ValueError, match="shared mapping"):
+                run_ensemble(model, 3, 0, 1, icfg, 2.0, 1.0, workers=workers, out=private)
+    assert not path.read_bytes().strip(b"\0")
+    expected = run_ensemble(model, 3, 0, 1, icfg, 2.0, 1.0).data.tobytes()
+    for workers in (1, 2):
+        shared[...] = 0.0
+        run_ensemble(model, 3, 0, 1, icfg, 2.0, 1.0, workers=workers, out=shared)
+        assert shared.tobytes() == expected == path.read_bytes()
     with pytest.raises(ValueError, match="init_state"):
         run_ensemble(model, 3, 2, 1, icfg, 2.0, 1.0, workers=2)
 
@@ -666,6 +676,35 @@ def test_fan_out_holds_one_copy_of_the_ensemble(workers):
     probe = subprocess.run([sys.executable, "-c", MEMORY_PROBE, str(workers)], env=env,
                            capture_output=True, text=True, check=True, timeout=300)
     assert float(probe.stdout) < 1.5
+
+
+WRITE_PROBE = """
+import resource, sys
+import numpy as np
+from mmsqc import arrayio, sqc
+
+src = np.random.default_rng(0).random((64, 1024, 64))   # 32 MB, resident before the copy
+with arrayio.mapped_array_file(sys.argv[1], arrayio.ENSEMBLE, {}, src.shape) as out:
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    sqc._write_rows(src, out)
+    grown = (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before) * 1024
+with open(sys.argv[1], "rb") as fh:
+    print(fh.read().endswith(src.tobytes()), grown / src.nbytes)
+"""
+
+
+def test_one_worker_writes_out_through_the_file(tmp_path):
+    """At one worker the rows reach the mapped file through its descriptor:
+    the file gets every byte, and the peak RSS grows by far less than the
+    32 MB payload (by about one payload through the mapping). Run in a
+    fresh interpreter so that the high-water mark starts from a clean
+    import."""
+    src = os.path.dirname(os.path.dirname(mmsqc.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    probe = subprocess.run([sys.executable, "-c", WRITE_PROBE, str(tmp_path / "e.traj")],
+                           env=env, capture_output=True, text=True, check=True, timeout=300)
+    same, ratio = probe.stdout.split()
+    assert same == "True" and float(ratio) < 0.1
 
 
 def test_shared_ensemble_outlives_its_pool(tmp_path):
