@@ -5,8 +5,8 @@ datasets and network checkpoints. Callers name a kind, their own header
 fields and their payload arrays; this module stamps and checks `kind` and
 `version`, converts the typed fields, checks the payload length the header
 promises, and streams payloads to and from disk without intermediate copies
-or maps a payload that writers fill in place. Round trips are bit-exact; all
-writes are atomic (temp file + rename).
+or lets writers place a payload's rows by position. Round trips are
+bit-exact; all writes are atomic (temp file + rename).
 """
 
 import contextlib
@@ -47,13 +47,12 @@ class VersionError(ArrayFileError):
 
 @contextlib.contextmanager
 def _atomic_file(path: str):
-    """(binary file handle, its temp path); the contents appear under `path`
-    only on success."""
+    """A binary file handle whose contents appear under `path` only on success."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
     try:
         with os.fdopen(fd, "wb") as fh:
-            yield fh, tmp
+            yield fh
         umask = os.umask(0)
         os.umask(umask)
         os.chmod(tmp, 0o666 & ~umask)   # mkstemp creates 0600
@@ -66,7 +65,7 @@ def _atomic_file(path: str):
 
 def write_atomic(path: str, data: bytes) -> None:
     """Write bytes so that a partial file is never visible under `path`."""
-    with _atomic_file(path) as (fh, _):
+    with _atomic_file(path) as fh:
         fh.write(data)
 
 
@@ -82,33 +81,52 @@ def _chunks(kind: str, header: dict, payloads):
 def write_array_file(path: str, kind: str, header: dict, *payloads) -> None:
     """Write `header` stamped with `kind` and the format version, then the
     payload arrays back to back."""
-    with _atomic_file(path) as (fh, _):
+    with _atomic_file(path) as fh:
         for chunk in _chunks(kind, header, payloads):
             fh.write(chunk)
 
 
-@contextlib.contextmanager
-def mapped_array_file(path: str, kind: str, header: dict, shape):
-    """Write a `kind` file with one payload of `shape` that is filled in place.
+class PayloadWriter:
+    """`write(first, rows)` puts `rows` (k, *shape[1:]) at rows first..first+k-1
+    of a payload of `shape` with `os.pwrite`, which leaves the file offset
+    alone, so processes forked while it is open write through the descriptor
+    they inherit. Refuses rows that do not fit, and any call once closed."""
 
-    Writes the header, reserves the payload's disk blocks and yields the
-    payload as a writable float64 `np.memmap` of the temp file (mode "r+",
-    a MAP_SHARED mapping, so processes forked inside the block fill it too;
-    its `filename` and `offset` name the file and the payload's place).
-    On success the file appears under `path` with the bytes
-    `write_array_file(path, kind, header, payload)` writes; on an error it
-    is removed. A full disk is an OSError before the yield, never a fault in
-    a writer (`os.posix_fallocate`, which this needs). The mapping lives as
-    long as the array and its views; do not write through them after the
-    block. The payload is unaligned unless the header's length is a multiple
-    of 8."""
+    def __init__(self, fd: int, offset: int, shape: tuple):
+        self.fd, self.offset, self.shape = fd, offset, shape
+
+    def __call__(self, first: int, rows) -> None:
+        if self.fd is None:
+            raise ValueError("payload writer is closed")
+        rows = np.ascontiguousarray(rows, dtype=PAYLOAD_DTYPE)
+        if rows.shape[1:] != self.shape[1:] or not 0 <= first <= self.shape[0] - len(rows):
+            raise ValueError(f"at row {first}, rows of shape {rows.shape} do not fit {self.shape}")
+        data = memoryview(rows.reshape(-1)).cast("B")
+        at = self.offset + first * math.prod(self.shape[1:]) * PAYLOAD_DTYPE.itemsize
+        done = 0
+        while done < len(data):   # a write may be partial
+            done += os.pwrite(self.fd, data[done:], at + done)
+
+
+@contextlib.contextmanager
+def payload_file(path: str, kind: str, header: dict, shape):
+    """Write a `kind` file with one payload of `shape`, placed row by row:
+    writes the header, reserves the payload's disk blocks (a full disk is an
+    OSError here, before the yield) and yields a `PayloadWriter` of the temp
+    file, closed when the block ends. On success the file appears under
+    `path` with the bytes `write_array_file(path, kind, header, payload)`
+    writes, once every row is written; on an error it is removed."""
     shape = tuple(shape)
-    with _atomic_file(path) as (fh, tmp):
+    with _atomic_file(path) as fh:
         line = next(_chunks(kind, header, ()))
         fh.write(line)
         fh.flush()
         os.posix_fallocate(fh.fileno(), 0, len(line) + math.prod(shape) * PAYLOAD_DTYPE.itemsize)
-        yield np.memmap(tmp, PAYLOAD_DTYPE, "r+", len(line), shape)
+        writer = PayloadWriter(fh.fileno(), len(line), shape)
+        try:
+            yield writer
+        finally:
+            writer.fd = None   # closed: the descriptor's number may be reused
 
 
 def file_sha256(kind: str, header: dict, *payloads) -> str:

@@ -24,7 +24,6 @@ worker count never changes results.
 """
 
 import functools
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -329,6 +328,10 @@ class TrajectoryEnsemble:
         self.data = np.asarray(self.data, dtype=float)
         if self.data.ndim != 3:
             raise ValueError("ensemble data must be (n_traj, n_records, dim)")
+        nuclear = self.dim - 2 * self.n_states
+        if self.n_states < 1 or nuclear < 0 or nuclear % 2:
+            raise ValueError(f"n_states {self.n_states} does not fit state vectors of size "
+                             f"{self.dim} (2 n_states + 2 n_modes, n_states >= 1)")
 
     @property
     def n_traj(self) -> int:
@@ -361,8 +364,11 @@ class TrajectoryEnsemble:
             n_traj=int, n_steps=int, dim=int, n_states=int, record_dt=float)
         if header.get("ordering") != STATE_ORDERING:
             raise arrayio.HeaderError(f"{path}: unknown variable ordering {header.get('ordering')}")
-        return cls(header["record_dt"], data, header["n_states"],
-                   header.get("model", "custom"), header.get("seed"))
+        try:
+            return cls(header["record_dt"], data, header["n_states"],
+                       header.get("model", "custom"), header.get("seed"))
+        except ValueError as exc:
+            raise arrayio.HeaderError(f"{path}: {exc}") from None
 
     def content_hash(self) -> str:
         """SHA-256 of the file `save` writes without an extra header."""
@@ -373,10 +379,10 @@ def ensemble_file(path: str, model: SiteExcitonModel, shape: tuple, record_dt: f
                   seed: int | None, extra_header: dict | None = None):
     """Context manager that writes the file `TrajectoryEnsemble.save` would
     write for a `shape` (n_traj, n_records, dim) ensemble of `model`, and
-    yields its payload to fill in place (`arrayio.mapped_array_file`)."""
+    yields the writer of its rows (`arrayio.payload_file`)."""
     header = _ensemble_header(model.label, model.n_states, shape, record_dt, seed)
-    return arrayio.mapped_array_file(path, arrayio.ENSEMBLE, {**header, **(extra_header or {})},
-                                     shape)
+    return arrayio.payload_file(path, arrayio.ENSEMBLE, {**header, **(extra_header or {})},
+                                shape)
 
 
 # ---------------------------------------------------------------------------
@@ -531,7 +537,7 @@ def propagate(model: SiteExcitonModel, y0, icfg: IntegratorConfig, t_end: float,
     return Trajectory(record_dt, out[0], model.n_states)
 
 
-_CHUNK_JOB = None   # (work, starts, out, args); set only in fan-out worker processes
+_CHUNK_JOB = None   # (work, starts, data, out, args); set only in fan-out worker processes
 
 
 def _set_chunk_job(*job) -> None:
@@ -539,94 +545,70 @@ def _set_chunk_job(*job) -> None:
     _CHUNK_JOB = job
 
 
-def _run_chunk(a: int, b: int):
-    work, starts, out, args = _CHUNK_JOB
-    return work(starts(a, b), a, out[a:b], *args)
-
-
-def _write_rows(rows: np.ndarray, out: np.memmap) -> None:
-    """Write `rows` into the file that `out` maps, through its descriptor:
-    the bytes reach the mapping through the page cache, and this process
-    faults in none of its pages."""
-    data = memoryview(np.ascontiguousarray(rows, dtype=out.dtype)).cast("B")
-    fd = os.open(out.filename, os.O_WRONLY)
-    try:
-        done = 0
-        while done < len(data):   # a write may be partial
-            done += os.pwrite(fd, data[done:], out.offset + done)
-    finally:
-        os.close(fd)
+def _run_chunk(a: int, b: int, job: tuple | None = None):
+    """Run chunk [a, b) of `job` (the fan-out worker's if None); see `_map_chunks`."""
+    work, starts, data, out, args = job or _CHUNK_JOB
+    rows = data[a:b] if out is None else np.empty((b - a, *out.shape[1:]))
+    result = work(starts(a, b), a, rows, *args)
+    if out is not None:
+        out(a, rows)
+    return result
 
 
 def _map_chunks(work, n: int, starts, row_shape: tuple, workers: int, *args,
-                grain: int = 1, out: np.memmap | None = None) -> tuple[np.ndarray, list]:
+                grain: int = 1, out=None) -> tuple[np.ndarray | None, list]:
     """Run work(starts(a, b), a, rows, *args) over contiguous chunks [a, b)
     of n trajectories, one per worker process, and return the (n,
-    *row_shape) float64 result with the list of what each chunk's `work`
-    returned, in chunk order. `starts(a, b)` gives the chunk's start vectors
-    and runs where the chunk runs; `work` writes the chunk's rows in place.
-    `a` is the chunk's first absolute trajectory index, for error messages.
-    Chunks hold whole grains of `grain` trajectories, so every `a` is a
-    multiple of it and no chunk is empty.
+    *row_shape) float64 result (None with `out`) and the list of what each
+    chunk's `work` returned, in chunk order. `starts(a, b)` gives the
+    chunk's start vectors and runs where the chunk runs; `work` fills `rows`
+    in place; `a`, the chunk's first trajectory, is for error messages.
+    Chunks hold whole grains of `grain` trajectories, so none is empty.
 
-    A single chunk runs in this process into a private array, which is the
-    result unless `out` is given: then it is written into `out`'s file
-    (`_write_rows`). Two or more workers write their rows straight into
-    `out`, so this process never touches it, or into an anonymous shared
-    mapping that lives as long as the returned array. Either way no chunk
-    is sent back or stacked. `out` must be a whole `np.memmap` of a file in
-    mode "r+" or "w+" (a MAP_SHARED mapping), such as `ensemble_file`
-    yields: the forked workers' rows would be lost in a private array or a
-    copy-on-write mapping, and a view's `offset` is not its place in the
-    file.
+    A chunk runs in this process at one worker, else in a forked worker,
+    into its rows of the result: a private array at one worker, an
+    anonymous shared mapping at more. With `out`, a row writer of shape
+    (n, *row_shape) such as `ensemble_file` yields, it runs into a private
+    array and writes it with `out(a, rows)`. No chunk is sent back.
 
     Every chunk runs to the end. If any failed, the failure with the
     earliest time `t` is raised (a failure without one counts as t = 0),
     ties going to chunk order, so the error does not depend on the chunk
     count."""
     shape = (n, *row_shape)
-    if out is not None:
-        import mmap   # cheap: any np.memmap has loaded it
-
-        if (not isinstance(out, np.memmap) or out.mode not in ("r+", "w+")
-                or out.filename is None or not isinstance(out.base, mmap.mmap)
-                or out.shape != shape or out.dtype != np.float64):
-            raise ValueError(f"out must be a whole float64 np.memmap of a file (a shared "
-                             f"mapping, mode r+ or w+) of shape {shape}, got a "
-                             f"{type(out).__name__} of {out.dtype} and shape {out.shape}")
+    if out is not None and (not callable(out) or getattr(out, "shape", None) != shape):
+        raise ValueError(f"out must be a row writer of shape {shape}, got a "
+                         f"{type(out).__name__} of shape {getattr(out, 'shape', None)}")
     grains = -(-n // grain)
     workers = max(1, min(workers, grains))
     if workers == 1:
-        data = np.empty(shape)
-        result = work(starts(0, n), 0, data, *args)
-        if out is None:
-            return data, [result]
-        _write_rows(data, out)
-        return out, [result]
-    # imported here, for the fan-out only: at the top they would slow every
-    # import of this module and add to its RSS
+        data = np.empty(shape) if out is None else None
+        return data, [_run_chunk(0, n, (work, starts, data, out, args))]
+    # imported for the fan-out only: at the top they would slow every import and add to RSS
     import concurrent.futures
-    import mmap
     import multiprocessing
 
+    data = None
     if out is None:
-        out = np.frombuffer(mmap.mmap(-1, 8 * int(np.prod(shape))), dtype=float).reshape(shape)
+        import mmap
+
+        data = np.frombuffer(mmap.mmap(-1, 8 * int(np.prod(shape))), dtype=float).reshape(shape)
     bounds = np.minimum(np.linspace(0, grains, workers + 1).astype(int) * grain, n)
-    # fork, so the workers inherit `out` (and the job) instead of a pickled copy
+    # fork, so the workers inherit `data` or `out`'s descriptor, not a pickled copy
     with concurrent.futures.ProcessPoolExecutor(
             max_workers=workers, mp_context=multiprocessing.get_context("fork"),
-            initializer=_set_chunk_job, initargs=(work, starts, out, args)) as pool:
+            initializer=_set_chunk_job, initargs=(work, starts, data, out, args)) as pool:
         futures = [pool.submit(_run_chunk, int(a), int(b))
                    for a, b in zip(bounds[:-1], bounds[1:])]
     failures = [exc for exc in (fut.exception() for fut in futures) if exc is not None]
     if failures:
         raise min(failures, key=lambda exc: getattr(exc, "t", 0.0))
-    return out, [fut.result() for fut in futures]
+    return data, [fut.result() for fut in futures]
 
 
 def run_ensemble(model: SiteExcitonModel, n_traj: int, init_state: int, seed: int,
                  icfg: IntegratorConfig, t_end: float, record_dt: float,
-                 workers: int = 1, out: np.memmap | None = None):
+                 workers: int = 1, out: arrayio.PayloadWriter | None = None):
     """Sample and propagate n_traj independent trajectories.
 
     Trajectory i draws its initial condition from the (seed, "sampling", i)
@@ -634,12 +616,12 @@ def run_ensemble(model: SiteExcitonModel, n_traj: int, init_state: int, seed: in
     results are reproducible and independent of `workers` (process-based).
     Each worker samples its own trajectories.
 
-    With `out`, a (n_traj, n_records, dim) float64 shared file mapping
-    such as `ensemble_file` yields (MAP_SHARED: see `_map_chunks`), the
-    trajectories are written there, and the result is not an ensemble but
-    its largest energy drift |E(t) - E(0)| in eV and largest mapping-norm
-    drift |N(t) - N(0)|, each worker scoring its own trajectories. Two or
-    more workers write `out` themselves, so this process holds none of it.
+    With `out`, a (n_traj, n_records, dim) row writer such as
+    `ensemble_file` yields (see `_map_chunks`), the trajectories are written
+    there, and the result is not an ensemble but its largest energy drift
+    |E(t) - E(0)| in eV and largest mapping-norm drift |N(t) - N(0)|, each
+    worker scoring its own trajectories. Two or more workers write `out`
+    themselves, so this process holds none of the ensemble.
     """
     if n_traj < 1:
         raise ValueError("n_traj must be at least 1")

@@ -31,7 +31,7 @@ def any_floats(shape):
 
 @st.composite
 def ensembles(draw):
-    shape = tuple(draw(st.integers(lo, 3)) for lo in (0, 1, 1))
+    shape = (draw(st.integers(0, 3)), draw(st.integers(1, 3)), 2 * draw(st.integers(1, 2)))
     return TrajectoryEnsemble(draw(st.sampled_from([0.5, 1.0])), draw(any_floats(shape)), 1,
                               "I", draw(st.integers(0, 9)))
 
@@ -165,7 +165,7 @@ def test_content_hash_is_the_file_hash(ens):
 
 def test_negative_size_in_header_is_a_header_error(tmp_path):
     path = tmp_path / "e.traj"
-    TrajectoryEnsemble(1.0, np.zeros((2, 1, 1)), 1).save(str(path))
+    TrajectoryEnsemble(1.0, np.zeros((2, 1, 2)), 1).save(str(path))
     edit = lambda h: h.update(n_traj=-2, n_steps=-1)   # product still matches the payload
     path.write_bytes(with_header(path.read_bytes(), edit))
     with pytest.raises(arrayio.HeaderError, match="negative"):
@@ -173,31 +173,59 @@ def test_negative_size_in_header_is_a_header_error(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# the mapped writer
+# the payload writer
 
 
 @pytest.mark.parametrize("pad", range(8))   # header lengths of every residue mod 8
 @settings(max_examples=15, deadline=None)
 @given(data=st.data())
 def test_mapped_file_equals_the_written_file(pad, data):
-    """A payload filled through `mapped_array_file` gives the bytes
-    `write_array_file` writes, aligned or not, and reads back bit-exact."""
+    """A payload written through `payload_file`'s writer, in any partition of
+    its rows and in any order, gives the bytes `write_array_file` writes and
+    reads back bit-exact. The writer refuses rows of another trailing shape
+    and rows outside the payload."""
     shape = data.draw(st.lists(st.integers(0, 4), min_size=1, max_size=3).map(tuple))
     payload = data.draw(any_floats(shape))
+    cuts = sorted(data.draw(st.lists(st.integers(0, shape[0]), max_size=4)))
+    ranges = data.draw(st.permutations(list(zip([0, *cuts], [*cuts, shape[0]]))))
     header = {"pad": "x" * pad, "n": list(shape)}
     with tempfile.TemporaryDirectory() as tmp:
         written, mapped = f"{tmp}/written", f"{tmp}/mapped"
         arrayio.write_array_file(written, arrayio.ENSEMBLE, header, payload)
-        head = len(Path(written).read_bytes()) - payload.nbytes
-        with arrayio.mapped_array_file(mapped, arrayio.ENSEMBLE, header, shape) as out:
-            assert out.shape == shape and out.dtype == np.float64 and out.flags.writeable
-            assert payload.size == 0 or out.flags.aligned == (head % 8 == 0)
-            out[...] = payload
+        with arrayio.payload_file(mapped, arrayio.ENSEMBLE, header, shape) as write:
+            assert write.shape == shape
+            for a, b in ranges:
+                write(a, payload[a:b])
+            for first, rows in [(0, np.zeros((1, *shape[1:], 1))),   # another trailing shape
+                                (shape[0], np.zeros((1, *shape[1:]))),   # past the end
+                                (max(shape[0] - 1, 0), np.zeros((2, *shape[1:]))),
+                                (-1, np.zeros((1, *shape[1:])))]:
+                with pytest.raises(ValueError, match="do not fit"):
+                    write(first, rows)
         assert Path(mapped).read_bytes() == Path(written).read_bytes()
         _, (back,) = arrayio.read_array_file(mapped, arrayio.ENSEMBLE,
                                              lambda h: [tuple(h["n"])])
         assert back.tobytes() == payload.tobytes()
         assert sorted(p.name for p in Path(tmp).iterdir()) == ["mapped", "written"]
+
+
+def test_payload_writer_is_closed_after_its_block(tmp_path):
+    """Once the block ends the writer refuses every call, so a write through
+    a stale descriptor number never lands in a file opened since."""
+    path = tmp_path / "e.traj"
+    with arrayio.payload_file(str(path), arrayio.ENSEMBLE, {}, (2, 3)) as write:
+        write(0, np.ones((2, 3)))
+    raw = path.read_bytes()
+    with open(tmp_path / "other", "wb") as fh:   # may reuse the descriptor's number
+        fh.flush()
+        with pytest.raises(ValueError, match="closed"):
+            write(0, np.zeros((1, 3)))
+    assert (tmp_path / "other").read_bytes() == b"" and path.read_bytes() == raw
+    with pytest.raises(KeyError):
+        with arrayio.payload_file(str(path), arrayio.ENSEMBLE, {}, (2, 3)) as write:
+            raise KeyError("in the block")
+    with pytest.raises(ValueError, match="closed"):
+        write(0, np.zeros((1, 3)))
 
 
 def test_mapped_file_fails_cleanly(tmp_path, monkeypatch):
@@ -206,8 +234,8 @@ def test_mapped_file_fails_cleanly(tmp_path, monkeypatch):
     under the same name as it was."""
     path = tmp_path / "e.traj"
     with pytest.raises(KeyError):
-        with arrayio.mapped_array_file(str(path), arrayio.ENSEMBLE, {}, (3, 2)) as out:
-            out[0] = 1.0
+        with arrayio.payload_file(str(path), arrayio.ENSEMBLE, {}, (3, 2)) as out:
+            out(0, np.ones((1, 2)))
             raise KeyError("in the block")
     assert list(tmp_path.iterdir()) == []
 
@@ -218,7 +246,7 @@ def test_mapped_file_fails_cleanly(tmp_path, monkeypatch):
 
     monkeypatch.setattr(os, "posix_fallocate", full, raising=False)
     with pytest.raises(OSError) as err:
-        with arrayio.mapped_array_file(str(path), arrayio.ENSEMBLE, {}, (1 << 20, 64)):
+        with arrayio.payload_file(str(path), arrayio.ENSEMBLE, {}, (1 << 20, 64)):
             pytest.fail("the block ran on a full disk")
     assert err.value.errno == errno.ENOSPC
     assert [p.name for p in tmp_path.iterdir()] == ["e.traj"]

@@ -1,4 +1,5 @@
 import csv
+import errno
 import json
 import os
 import string
@@ -148,6 +149,63 @@ def test_simulate_parent_never_holds_the_ensemble(tmp_path):
                            env=env, capture_output=True, text=True, check=True, timeout=300)
     code, ratio = probe.stdout.splitlines()[-1].split()
     assert code == "0" and float(ratio) < 0.25
+
+
+def file_command(command, ckpt, workers):
+    """simulate or rollout argv that writes its file at `workers` (rollout
+    fans out by blocks of 64 trajectories, so it needs more than 64)."""
+    if command == "simulate":
+        args = ["simulate", "--model", "I", "--ntraj", 4, "--t-end", 2, "--dt", 0.05]
+    else:
+        args = ["rollout", "--model", "I", "--checkpoint", ckpt, "--ntraj", 70, "--steps", 3]
+    return [str(a) for a in args + ["--seed", 1, "--workers", workers]]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("command", ["simulate", "rollout"])
+def test_write_failures_leave_no_file(tiny_pipeline, tmp_path, monkeypatch, capsys,
+                                      command, workers):
+    """A full disk when the rows are written, in this process or in a
+    worker, exits 1 naming the error, leaves neither the file nor a temp
+    file, and leaves an older file of the same name as it was."""
+    _, paths = tiny_pipeline
+    folder = tmp_path / "out"
+    folder.mkdir()
+    out = folder / "e.traj"
+    out.write_bytes(b"older")
+
+    def full(fd, data, offset):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(os, "pwrite", full)
+    capsys.readouterr()
+    assert run(*file_command(command, paths["ckpt"], workers), "--out", out) == 1
+    assert os.strerror(errno.ENOSPC) in capsys.readouterr().err
+    assert [p.name for p in folder.iterdir()] == ["e.traj"]
+    assert out.read_bytes() == b"older"
+
+
+MMAP_PROBE = """
+import sys
+from mmsqc import cli
+
+print(cli.main(sys.argv[1:]), "mmap" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("command", ["simulate", "rollout"])
+def test_writing_a_file_leaves_mmap_unloaded(tiny_pipeline, tmp_path, command, workers):
+    """`simulate` and `rollout` write their rows through the file's
+    descriptor at any worker count: `mmap` is loaded only by the in-memory
+    fan-out. Run in a fresh interpreter."""
+    _, paths = tiny_pipeline
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    argv = file_command(command, paths["ckpt"], workers) + ["--out", str(tmp_path / "e.traj")]
+    probe = subprocess.run([sys.executable, "-c", MMAP_PROBE, *argv], env=env,
+                           capture_output=True, text=True, check=True, timeout=300)
+    assert probe.stdout.split()[-2:] == ["0", "False"]
 
 
 def test_usage_errors_exit_2(tmp_path, capsys):

@@ -1,6 +1,7 @@
 import gc
 import mmap
 import os
+import re
 import subprocess
 import sys
 import weakref
@@ -574,10 +575,11 @@ def test_workers_score_the_drift_of_their_trajectories(label, workers, tmp_path)
     model = build_model(label)
     icfg, n_traj = IntegratorConfig(0.05), 7
     ens = run_ensemble(model, n_traj, 0, 4, icfg, 3.0, 1.0)
-    with sqc.ensemble_file(str(tmp_path / "e.traj"), model, ens.data.shape, 1.0, 4) as out:
+    path = str(tmp_path / "e.traj")
+    with sqc.ensemble_file(path, model, ens.data.shape, 1.0, 4) as out:
         drift, norm_drift = run_ensemble(model, n_traj, 0, 4, icfg, 3.0, 1.0,
                                          workers=workers, out=out)
-        assert out.tobytes() == ens.data.tobytes()
+    assert TrajectoryEnsemble.load(path).data.tobytes() == ens.data.tobytes()
     energies = ensemble_energies(model, ens)
     assert drift == np.max(np.abs(energies - energies[:, :1])) > 0.0
     assert norm_drift == pytest.approx(mapping_norm_drift(model, ens).max(), rel=1e-6, abs=1e-15)
@@ -587,24 +589,16 @@ def test_out_must_be_a_shared_mapping_of_the_ensembles_shape(tmp_path):
     model = build_model("I")
     icfg = IntegratorConfig(0.05)
     shape = (3, 3, model.dim)
-    path = tmp_path / "out"
-    shared = np.memmap(path, np.float64, "w+", shape=shape)
-    with pytest.raises(ValueError, match="shape"):
-        run_ensemble(model, 3, 0, 1, icfg, 2.0, 1.0, out=shared[:, :2])
-    # the forked workers' rows would be lost in a private array or a
-    # copy-on-write mapping; a view's `offset` is not its place in the file
-    for private in (np.empty(shape), np.memmap(path, np.float64, "c", shape=shape),
-                    np.frombuffer(mmap.mmap(-1, 8 * shared.size)).reshape(shape),
-                    shared.transpose(1, 0, 2)):
-        for workers in (1, 2):
-            with pytest.raises(ValueError, match="shared mapping"):
-                run_ensemble(model, 3, 0, 1, icfg, 2.0, 1.0, workers=workers, out=private)
-    assert not path.read_bytes().strip(b"\0")
+    path = tmp_path / "out.traj"
     expected = run_ensemble(model, 3, 0, 1, icfg, 2.0, 1.0).data.tobytes()
     for workers in (1, 2):
-        shared[...] = 0.0
-        run_ensemble(model, 3, 0, 1, icfg, 2.0, 1.0, workers=workers, out=shared)
-        assert shared.tobytes() == expected == path.read_bytes()
+        with arrayio.payload_file(str(path), arrayio.ENSEMBLE, {}, (3, 2, model.dim)) as other:
+            with pytest.raises(ValueError, match="shape"):
+                run_ensemble(model, 3, 0, 1, icfg, 2.0, 1.0, workers=workers, out=other)
+        assert not path.read_bytes().split(b"\n", 1)[1].strip(b"\0")   # no row written
+        with arrayio.payload_file(str(path), arrayio.ENSEMBLE, {}, shape) as out:
+            run_ensemble(model, 3, 0, 1, icfg, 2.0, 1.0, workers=workers, out=out)
+        assert path.read_bytes().split(b"\n", 1)[1] == expected
     with pytest.raises(ValueError, match="init_state"):
         run_ensemble(model, 3, 2, 1, icfg, 2.0, 1.0, workers=2)
 
@@ -681,12 +675,12 @@ def test_fan_out_holds_one_copy_of_the_ensemble(workers):
 WRITE_PROBE = """
 import resource, sys
 import numpy as np
-from mmsqc import arrayio, sqc
+from mmsqc import arrayio
 
 src = np.random.default_rng(0).random((64, 1024, 64))   # 32 MB, resident before the copy
-with arrayio.mapped_array_file(sys.argv[1], arrayio.ENSEMBLE, {}, src.shape) as out:
+with arrayio.payload_file(sys.argv[1], arrayio.ENSEMBLE, {}, src.shape) as out:
     before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    sqc._write_rows(src, out)
+    out(0, src)
     grown = (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before) * 1024
 with open(sys.argv[1], "rb") as fh:
     print(fh.read().endswith(src.tobytes()), grown / src.nbytes)
@@ -694,9 +688,9 @@ with open(sys.argv[1], "rb") as fh:
 
 
 def test_one_worker_writes_out_through_the_file(tmp_path):
-    """At one worker the rows reach the mapped file through its descriptor:
-    the file gets every byte, and the peak RSS grows by far less than the
-    32 MB payload (by about one payload through the mapping). Run in a
+    """The writer's rows reach the file through its descriptor: the file
+    gets every byte, and the peak RSS grows by far less than the 32 MB
+    payload (by about one payload through a mapping of the file). Run in a
     fresh interpreter so that the high-water mark starts from a clean
     import."""
     src = os.path.dirname(os.path.dirname(mmsqc.__file__))
@@ -806,6 +800,34 @@ def test_ensemble_file_round_trip(tmp_path):
     ens.save(str(tmp_path / "e2.traj"))
     assert (tmp_path / "e.traj").read_bytes() == (tmp_path / "e2.traj").read_bytes()
     assert loaded.content_hash() == ens.content_hash()
+
+
+@settings(max_examples=80, deadline=None)
+@given(n_states=st.integers(-2, 12), dim=st.integers(0, 24))
+def test_ensemble_refuses_a_state_count_its_vectors_cannot_hold(n_states, dim):
+    """An ensemble takes n_states only if its state vectors can be
+    x_e|p_e|Q|P of n_states >= 1 states and some n_modes >= 0 modes."""
+    fits = n_states >= 1 and any(dim == 2 * n_states + 2 * m for m in range(dim + 1))
+    data = np.zeros((1, 2, dim))
+    if fits:
+        assert TrajectoryEnsemble(1.0, data, n_states).n_states == n_states
+    else:
+        with pytest.raises(ValueError, match=f"n_states {n_states} does not fit"):
+            TrajectoryEnsemble(1.0, data, n_states)
+
+
+@pytest.mark.parametrize("n_states", [0, -1, 19])
+def test_load_refuses_a_state_count_the_vectors_cannot_hold(tmp_path, n_states):
+    """A header whose n_states the vectors cannot hold is a HeaderError that
+    names the file."""
+    ens = run_ensemble(build_model("I"), 2, 0, 1, IntegratorConfig(0.05), 2.0, 1.0)
+    path = tmp_path / "e.traj"
+    ens.save(str(path))
+    raw = path.read_bytes()
+    assert raw.count(b'"n_states":2') == 1
+    path.write_bytes(raw.replace(b'"n_states":2', b'"n_states":%d' % n_states))
+    with pytest.raises(arrayio.HeaderError, match=re.escape(f"{path}: n_states {n_states} ")):
+        TrajectoryEnsemble.load(str(path))
 
 
 def test_ensemble_file_errors(tmp_path):
