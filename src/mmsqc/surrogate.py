@@ -16,6 +16,8 @@ recurrence, one matmul per step after the first. BPTT forms each weight
 gradient with one matmul over all steps of a time-major forward record.
 """
 
+import os
+import tempfile
 import time
 from dataclasses import dataclass, replace
 
@@ -363,10 +365,14 @@ class TrainReport:
 
 
 class TrainDivergedError(RuntimeError):
-    def __init__(self, epoch: int, batch: int):
+    """A non-finite loss in training batch `batch` of `epoch`, or in the
+    validation pass after that epoch's batches when `batch` is None."""
+
+    def __init__(self, epoch: int, batch: int | None):
         self.epoch = epoch
         self.batch = batch
-        super().__init__(f"non-finite loss in epoch {epoch}, batch {batch}")
+        where = "validation" if batch is None else f"batch {batch}"
+        super().__init__(f"non-finite loss in epoch {epoch}, {where}")
 
     def __reduce__(self):
         return (TrainDivergedError, (self.epoch, self.batch))
@@ -389,7 +395,10 @@ def evaluate_loss(sequences: np.ndarray, params: LstmParams, seq_len: int) -> fl
 def train(dataset: SequenceDataset, cfg: TrainConfig,
           progress=None) -> tuple[LstmParams, TrainReport]:
     """Mini-batch Adam training; returns the parameters with the lowest
-    validation loss. Fully deterministic for a given config."""
+    validation loss. Fully deterministic for a given config. Holds four
+    parameter-size vectors: the weights, the two Adam moments and, while an
+    epoch's batches run, one gradient. The best weights so far wait in an
+    unnamed temp file (in TMPDIR), which nothing outlives."""
     if dataset.seq_len != cfg.seq_len:
         raise ValueError(f"dataset L={dataset.seq_len} but config L={cfg.seq_len}")
     if dataset.n_train == 0 or dataset.n_validation == 0:
@@ -398,42 +407,56 @@ def train(dataset: SequenceDataset, cfg: TrainConfig,
     t_start = time.perf_counter()
     params = init_params(dataset.dim, cfg.hidden, substream(cfg.seed, "init"))
     adam = AdamState.zeros(dataset.dim, cfg.hidden)
-    grads = LstmParams.zeros(dataset.dim, cfg.hidden)   # reused by every batch
-    best = params.copy()
+    weights = params.flat.view(np.uint8)
     best_val = np.inf
     best_epoch = 0
     train_losses, val_losses = [], []
 
-    for epoch in range(cfg.epochs):
-        order = substream(cfg.seed, "batch", epoch).permutation(dataset.n_train)
-        epoch_sq = 0.0
-        for batch_no, start in enumerate(range(0, dataset.n_train, cfg.batch_size)):
-            seqs = dataset.train[order[start:start + cfg.batch_size]]
-            ys, record = one_to_many_forward(seqs[:, 0, :], cfg.seq_len, params)
-            targets = seqs[:, 1:, :]
-            loss = sequence_loss(ys, targets)
-            if not np.isfinite(loss):
-                raise TrainDivergedError(epoch, batch_no)
-            epoch_sq += loss * seqs.shape[0]
-            dY = np.subtract(ys, targets, out=targets)   # seqs is this batch's own copy
-            dY *= 2.0 / ys.size
-            backward(record, dY, params, out=grads)
-            del ys, record, dY, seqs, targets   # free the batch before the next forward
-            params, adam = adam_step(params, grads, adam, cfg.learning_rate,
-                                     cfg.beta1, cfg.beta2, cfg.eps)
-        train_losses.append(epoch_sq / dataset.n_train)
-        val = evaluate_loss(dataset.validation, params, cfg.seq_len)
-        val_losses.append(val)
-        if val < best_val:
-            best_val = val
-            best_epoch = epoch
-            np.copyto(best.flat, params.flat)
-        if progress is not None:
-            progress(epoch, train_losses[-1], val)
+    with tempfile.TemporaryFile(buffering=0) as best:
+        for epoch in range(cfg.epochs):
+            order = substream(cfg.seed, "batch", epoch).permutation(dataset.n_train)
+            epoch_sq = 0.0
+            grads = LstmParams.zeros(dataset.dim, cfg.hidden)   # reused by every batch
+            for batch_no, start in enumerate(range(0, dataset.n_train, cfg.batch_size)):
+                seqs = dataset.train[order[start:start + cfg.batch_size]]
+                ys, record = one_to_many_forward(seqs[:, 0, :], cfg.seq_len, params)
+                targets = seqs[:, 1:, :]
+                loss = sequence_loss(ys, targets)
+                if not np.isfinite(loss):
+                    raise TrainDivergedError(epoch, batch_no)
+                epoch_sq += loss * seqs.shape[0]
+                dY = np.subtract(ys, targets, out=targets)   # seqs is this batch's own copy
+                dY *= 2.0 / ys.size
+                backward(record, dY, params, out=grads)
+                del ys, record, dY, seqs, targets   # free the batch before the next forward
+                params, adam = adam_step(params, grads, adam, cfg.learning_rate,
+                                         cfg.beta1, cfg.beta2, cfg.eps)
+            del grads   # the validation pass runs beside three vectors
+            train_losses.append(epoch_sq / dataset.n_train)
+            val = evaluate_loss(dataset.validation, params, cfg.seq_len)
+            if not np.isfinite(val):
+                raise TrainDivergedError(epoch, None)
+            val_losses.append(val)
+            if val < best_val:
+                best_val = val
+                best_epoch = epoch
+                done = 0
+                while done < weights.size:   # a write may be partial
+                    done += os.pwrite(best.fileno(), weights[done:], done)
+            if progress is not None:
+                progress(epoch, train_losses[-1], val)
+
+        if best_epoch != cfg.epochs - 1:
+            done = 0
+            while done < weights.size:   # a read may be partial
+                got = os.preadv(best.fileno(), [weights[done:]], done)
+                if got == 0:
+                    raise OSError(f"best-weights file ended after {done} bytes")
+                done += got
 
     report = TrainReport(np.array(train_losses), np.array(val_losses),
                          best_epoch, time.perf_counter() - t_start)
-    return best, report
+    return params, report
 
 
 # ---------------------------------------------------------------------------

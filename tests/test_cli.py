@@ -137,12 +137,12 @@ print(code, grown / (3400 * 51 * 36 * 8))
 def test_simulate_parent_never_holds_the_ensemble(tmp_path):
     """`mmsqc simulate --workers 2` on a 50 MB payload (3400 x 51 x 36
     doubles) grows the parent's peak RSS by less than a quarter payload:
-    forked workers sample, write into the mapped output file and score the
-    drift, so the parent touches no payload page. (Reading the ensemble
-    back, for the drift or to save it, grew it by about one payload; a
-    one-worker run, which propagates in this process, grows it too.) Run in
-    a fresh interpreter so that the high-water mark starts from a clean
-    import."""
+    forked workers sample, write their rows into the output file through
+    its row writer and score the drift, so the parent touches no payload
+    page. (Reading the ensemble back, for the drift or to save it, grew it
+    by about one payload; a one-worker run, which propagates in this
+    process, grows it too.) Run in a fresh interpreter so that the
+    high-water mark starts from a clean import."""
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = {**os.environ, "PYTHONPATH": src}
     probe = subprocess.run([sys.executable, "-c", CLI_MEMORY_PROBE, str(tmp_path / "e.traj")],

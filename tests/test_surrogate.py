@@ -1,6 +1,7 @@
 import math
 import pickle
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -627,6 +628,64 @@ def test_train_aborts_on_nan_with_context():
         train(ds, cfg)
     assert err.value.epoch == 0
     assert err.value.batch == 0
+
+
+def test_train_aborts_on_non_finite_validation_loss():
+    """A NaN validation window stops training like a NaN batch does, rather
+    than returning the initial weights as the best of no finite epoch."""
+    ds = tiny_dataset(seed=6)
+    ds.validation[0, 2, 1] = np.nan
+    cfg = TrainConfig(seq_len=5, hidden=8, learning_rate=1e-3, batch_size=8,
+                      epochs=3, seed=2)
+    with pytest.raises(TrainDivergedError, match="epoch 0, validation") as err:
+        train(ds, cfg)
+    assert (err.value.epoch, err.value.batch) == (0, None)
+    assert pickle.loads(pickle.dumps(err.value)).batch is None
+
+
+def noisy_dataset(seed):
+    rng = np.random.default_rng(seed)
+    return SequenceDataset(4, 3, rng.normal(size=(10, 4, 3)), rng.normal(size=(3, 4, 3)))
+
+
+def check_best_is_the_shorter_run(seed, lr, epochs) -> int:
+    """`train` returns the weights of its best epoch: the bytes of the same run
+    stopped after that epoch, whose loss history is a prefix of its own."""
+    cfg = TrainConfig(seq_len=4, hidden=5, learning_rate=lr, batch_size=4,
+                      epochs=epochs, seed=seed)
+    params, report = train(noisy_dataset(seed), cfg)
+    best = report.best_epoch
+    short_params, short = train(noisy_dataset(seed), replace(cfg, epochs=best + 1))
+    assert short.best_epoch == best
+    assert params.flat.tobytes() == short_params.flat.tobytes()
+    assert report.train_loss[:best + 1].tobytes() == short.train_loss.tobytes()
+    assert report.val_loss[:best + 1].tobytes() == short.val_loss.tobytes()
+    return best
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 50), lr=st.sampled_from([3e-3, 3e-2, 3e-1]),
+       epochs=st.integers(1, 6))
+@example(seed=0, lr=3e-1, epochs=6)    # best epoch 1: read back from the file
+@example(seed=2, lr=3e-3, epochs=6)    # best epoch 5, the last
+def test_train_returns_its_best_epoch(seed, lr, epochs):
+    check_best_is_the_shorter_run(seed, lr, epochs)
+
+
+def test_train_reads_back_an_earlier_best_epoch():
+    assert check_best_is_the_shorter_run(0, 3e-1, 6) == 1
+
+
+def test_train_holds_four_parameter_vectors():
+    """Weights, two Adam moments and the gradient, which is dropped before
+    the validation pass; the best weights wait in a file. (Five vectors and
+    a validation pass beside all of them read 6.5 vectors.)"""
+    rng = np.random.default_rng(0)
+    ds = SequenceDataset(5, 36, rng.normal(size=(100, 5, 36)), rng.normal(size=(200, 5, 36)))
+    cfg = TrainConfig(seq_len=5, hidden=512, learning_rate=1e-3, batch_size=50,
+                      epochs=2, seed=1)
+    peak = traced_peak(lambda: train(ds, cfg))
+    assert peak < 5.5 * LstmParams.zeros(36, 512).flat.nbytes
 
 
 @pytest.mark.parametrize("field, value", [
