@@ -137,12 +137,14 @@ def file_sha256(kind: str, header: dict, *payloads) -> str:
     return digest.hexdigest()
 
 
-def read_array_file(path: str, kind: str, shapes, **fields) -> tuple[dict, list]:
+def read_array_file(path: str, kind: str, shapes, layout=None, **fields) -> tuple[dict, list]:
     """Read a `kind` file: (header, one fresh writable float64 array per shape).
 
-    `fields` maps header keys to casts (`n_traj=int`); the returned header
-    holds the cast values. `shapes(header)` gives the payload shapes the
-    header promises, in file order.
+    `layout` maps header keys to the one value each must hold (the layout
+    stamps a writer puts there, such as the variable ordering); `fields`
+    maps header keys to casts (`n_traj=int`), and the returned header holds
+    the cast values. `shapes(header)` gives the payload shapes the header
+    promises, in file order.
     """
     with open(path, "rb") as fh:
         line = fh.readline()
@@ -159,6 +161,9 @@ def read_array_file(path: str, kind: str, shapes, **fields) -> tuple[dict, list]
         version = header.get("version")
         if type(version) is not int or version != FORMAT_VERSION:   # true == 1.0 == 1
             raise VersionError(f"{path}: unsupported version {version!r}")
+        for key, value in (layout or {}).items():
+            if header.get(key) != value:
+                raise HeaderError(f"{path}: unknown {key} {header.get(key)!r}")
         try:
             for key, cast in fields.items():
                 header[key] = cast(header[key])

@@ -97,6 +97,7 @@ class SequenceDataset:
         header, (train, validation) = arrayio.read_array_file(
             path, arrayio.DATASET,
             lambda h: [(h[n], h["seq_len"], h["dim"]) for n in ("n_train", "n_validation")],
+            layout={"ordering": STATE_ORDERING},
             seq_len=int, dim=int, n_train=int, n_validation=int)
         return cls(header["seq_len"], header["dim"], train, validation,
                    source_hash=header.get("source_hash", ""),

@@ -70,7 +70,6 @@ def _variable_name(model: SiteExcitonModel, flat_index: int) -> str:
     for k, sl in enumerate(model.state_slices):
         if sl.start <= mode < sl.stop:
             return f"{block}[state {k}, mode {mode - sl.start}]"
-    return f"{block}[{mode}]"
 
 
 # ---------------------------------------------------------------------------
@@ -361,9 +360,8 @@ class TrajectoryEnsemble:
     def load(cls, path: str) -> "TrajectoryEnsemble":
         header, (data,) = arrayio.read_array_file(
             path, arrayio.ENSEMBLE, lambda h: [(h["n_traj"], h["n_steps"], h["dim"])],
+            layout={"ordering": STATE_ORDERING},
             n_traj=int, n_steps=int, dim=int, n_states=int, record_dt=float)
-        if header.get("ordering") != STATE_ORDERING:
-            raise arrayio.HeaderError(f"{path}: unknown variable ordering {header.get('ordering')}")
         try:
             return cls(header["record_dt"], data, header["n_states"],
                        header.get("model", "custom"), header.get("seed"))
@@ -537,7 +535,7 @@ def propagate(model: SiteExcitonModel, y0, icfg: IntegratorConfig, t_end: float,
     return Trajectory(record_dt, out[0], model.n_states)
 
 
-_CHUNK_JOB = None   # (work, starts, data, out, args); set only in fan-out worker processes
+_CHUNK_JOB = None   # (work, starts, out, args); set only in fan-out worker processes
 
 
 def _set_chunk_job(*job) -> None:
@@ -547,11 +545,10 @@ def _set_chunk_job(*job) -> None:
 
 def _run_chunk(a: int, b: int, job: tuple | None = None):
     """Run chunk [a, b) of `job` (the fan-out worker's if None); see `_map_chunks`."""
-    work, starts, data, out, args = job or _CHUNK_JOB
-    rows = data[a:b] if out is None else np.empty((b - a, *out.shape[1:]))
+    work, starts, out, args = job or _CHUNK_JOB
+    rows = np.empty((b - a, *out.shape[1:]))
     result = work(starts(a, b), a, rows, *args)
-    if out is not None:
-        out(a, rows)
+    out(a, rows)
     return result
 
 
@@ -566,44 +563,45 @@ def _map_chunks(work, n: int, starts, row_shape: tuple, workers: int, *args,
     Chunks hold whole grains of `grain` trajectories, so none is empty.
 
     A chunk runs in this process at one worker, else in a forked worker,
-    into its rows of the result: a private array at one worker, an
-    anonymous shared mapping at more. With `out`, a row writer of shape
-    (n, *row_shape) such as `ensemble_file` yields, it runs into a private
-    array and writes it with `out(a, rows)`. No chunk is sent back.
+    into a private array, and writes it once with `out(a, rows)`: `out` is
+    a row writer of shape (n, *row_shape) such as `ensemble_file` yields.
+    Without `out`, the rows wait in an unnamed temp file (in TMPDIR), read
+    back as the result once every chunk is done. No chunk is sent back.
 
     Every chunk runs to the end. If any failed, the failure with the
     earliest time `t` is raised (a failure without one counts as t = 0),
     ties going to chunk order, so the error does not depend on the chunk
     count."""
     shape = (n, *row_shape)
-    if out is not None and (not callable(out) or getattr(out, "shape", None) != shape):
+    if out is None:
+        import tempfile
+
+        with tempfile.TemporaryFile() as fh:
+            _, results = _map_chunks(work, n, starts, row_shape, workers, *args, grain=grain,
+                                     out=arrayio.PayloadWriter(fh.fileno(), 0, shape))
+            return np.fromfile(fh).reshape(shape), results
+    if not callable(out) or getattr(out, "shape", None) != shape:
         raise ValueError(f"out must be a row writer of shape {shape}, got a "
                          f"{type(out).__name__} of shape {getattr(out, 'shape', None)}")
     grains = -(-n // grain)
     workers = max(1, min(workers, grains))
     if workers == 1:
-        data = np.empty(shape) if out is None else None
-        return data, [_run_chunk(0, n, (work, starts, data, out, args))]
+        return None, [_run_chunk(0, n, (work, starts, out, args))]
     # imported for the fan-out only: at the top they would slow every import and add to RSS
     import concurrent.futures
     import multiprocessing
 
-    data = None
-    if out is None:
-        import mmap
-
-        data = np.frombuffer(mmap.mmap(-1, 8 * int(np.prod(shape))), dtype=float).reshape(shape)
     bounds = np.minimum(np.linspace(0, grains, workers + 1).astype(int) * grain, n)
-    # fork, so the workers inherit `data` or `out`'s descriptor, not a pickled copy
+    # fork, so the workers inherit `out`'s descriptor, not a pickled copy
     with concurrent.futures.ProcessPoolExecutor(
             max_workers=workers, mp_context=multiprocessing.get_context("fork"),
-            initializer=_set_chunk_job, initargs=(work, starts, data, out, args)) as pool:
+            initializer=_set_chunk_job, initargs=(work, starts, out, args)) as pool:
         futures = [pool.submit(_run_chunk, int(a), int(b))
                    for a, b in zip(bounds[:-1], bounds[1:])]
     failures = [exc for exc in (fut.exception() for fut in futures) if exc is not None]
     if failures:
         raise min(failures, key=lambda exc: getattr(exc, "t", 0.0))
-    return data, [fut.result() for fut in futures]
+    return None, [fut.result() for fut in futures]
 
 
 def run_ensemble(model: SiteExcitonModel, n_traj: int, init_state: int, seed: int,

@@ -16,7 +16,6 @@ recurrence, one matmul per step after the first. BPTT forms each weight
 gradient with one matmul over all steps of a time-major forward record.
 """
 
-import os
 import tempfile
 import time
 from dataclasses import dataclass, replace
@@ -72,9 +71,6 @@ class LstmParams:
     def __reduce__(self):
         # pickle the vector once; the views are rebuilt on the other side
         return (LstmParams, (self.flat, self.dim, self.hidden))
-
-    def copy(self) -> "LstmParams":
-        return LstmParams(self.flat.copy(), self.dim, self.hidden)
 
     @classmethod
     def zeros(cls, dim: int, hidden: int) -> "LstmParams":
@@ -407,12 +403,12 @@ def train(dataset: SequenceDataset, cfg: TrainConfig,
     t_start = time.perf_counter()
     params = init_params(dataset.dim, cfg.hidden, substream(cfg.seed, "init"))
     adam = AdamState.zeros(dataset.dim, cfg.hidden)
-    weights = params.flat.view(np.uint8)
     best_val = np.inf
     best_epoch = 0
     train_losses, val_losses = [], []
 
-    with tempfile.TemporaryFile(buffering=0) as best:
+    with tempfile.TemporaryFile() as best:
+        keep = arrayio.PayloadWriter(best.fileno(), 0, params.flat.shape)
         for epoch in range(cfg.epochs):
             order = substream(cfg.seed, "batch", epoch).permutation(dataset.n_train)
             epoch_sq = 0.0
@@ -440,19 +436,13 @@ def train(dataset: SequenceDataset, cfg: TrainConfig,
             if val < best_val:
                 best_val = val
                 best_epoch = epoch
-                done = 0
-                while done < weights.size:   # a write may be partial
-                    done += os.pwrite(best.fileno(), weights[done:], done)
+                keep(0, params.flat)
             if progress is not None:
                 progress(epoch, train_losses[-1], val)
 
-        if best_epoch != cfg.epochs - 1:
-            done = 0
-            while done < weights.size:   # a read may be partial
-                got = os.preadv(best.fileno(), [weights[done:]], done)
-                if got == 0:
-                    raise OSError(f"best-weights file ended after {done} bytes")
-                done += got
+        # buffered, so one readinto fills the whole vector or meets the end of the file
+        if best_epoch != cfg.epochs - 1 and best.readinto(params.flat) != params.flat.nbytes:
+            raise OSError("best-weights file ended early")
 
     report = TrainReport(np.array(train_losses), np.array(val_losses),
                          best_epoch, time.perf_counter() - t_start)
@@ -486,5 +476,5 @@ def save_checkpoint(path: str, params: LstmParams, cfg: TrainConfig,
 def load_checkpoint(path: str) -> tuple[LstmParams, dict]:
     header, (flat,) = arrayio.read_array_file(
         path, arrayio.CHECKPOINT, lambda h: [(_flat_size(h["dim"], h["hidden"]),)],
-        dim=int, hidden=int, seq_len=int)
+        layout={"tensor_order": list(TENSOR_FIELDS)}, dim=int, hidden=int, seq_len=int)
     return LstmParams(flat, header["dim"], header["hidden"]), header

@@ -4,6 +4,7 @@ import errno
 import hashlib
 import json
 import os
+import re
 import tempfile
 from pathlib import Path
 
@@ -15,7 +16,8 @@ from hypothesis.extra.numpy import arrays
 from mmsqc import arrayio
 from mmsqc.dataset import SequenceDataset
 from mmsqc.sqc import TrajectoryEnsemble
-from mmsqc.surrogate import LstmParams, TrainConfig, load_checkpoint, save_checkpoint
+from mmsqc.surrogate import (TENSOR_FIELDS, LstmParams, TrainConfig, load_checkpoint,
+                             save_checkpoint)
 
 # bit patterns of NaN (quiet, signalling, negative), +-inf, -0.0 and denormals
 SPECIAL_BITS = [0x7FF8000000000000, 0x7FF0000000000001, 0xFFF8000000000000,
@@ -151,6 +153,22 @@ def test_wrong_kind_or_bad_field_is_a_header_error(kind, obj, path, raw, data):
     edit = (lambda h: h.pop(key)) if bad == "missing" else (lambda h: h.update({key: bad}))
     Path(path).write_bytes(with_header(raw, edit))
     with pytest.raises(arrayio.HeaderError):
+        KINDS[kind][2](path)
+
+
+# kind -> the layout stamp its loader checks, and a foreign value of it
+STAMPS = {"ensemble": ("ordering", "Q|P|x_e|p_e"), "dataset": ("ordering", "Q|P|x_e|p_e"),
+          "checkpoint": ("tensor_order", list(reversed(TENSOR_FIELDS)))}
+
+
+@kind_case
+def test_foreign_layout_stamp_is_a_header_error(kind, obj, path, raw, data):
+    key, foreign = STAMPS[kind]
+    assert json.loads(raw.split(b"\n", 1)[0])[key] != foreign
+    bad = data.draw(st.sampled_from(["missing", None, foreign]))
+    edit = (lambda h: h.pop(key)) if bad == "missing" else (lambda h: h.update({key: bad}))
+    Path(path).write_bytes(with_header(raw, edit))
+    with pytest.raises(arrayio.HeaderError, match=re.escape(f"{path}: unknown {key} ")):
         KINDS[kind][2](path)
 
 

@@ -192,18 +192,39 @@ from mmsqc import cli
 print(cli.main(sys.argv[1:]), "mmap" in sys.modules)
 """
 
+IN_MEMORY_PROBE = """
+import sys
+from mmsqc import analysis, sqc, surrogate
+from mmsqc.models import build_model
+
+command, ckpt, workers = sys.argv[1], sys.argv[2], int(sys.argv[3])
+model = build_model("I")
+if command == "run_ensemble":
+    sqc.run_ensemble(model, 4, 0, 1, sqc.IntegratorConfig(0.05), 2.0, 1.0, workers=workers)
+else:   # 70 trajectories: rollout fans out by blocks of 64
+    params, header = surrogate.load_checkpoint(ckpt)
+    analysis.rollout_ensemble(model, params, analysis.RolloutConfig(
+        70, 3, header["seq_len"], seed=1, workers=workers))
+print(0, "mmap" in sys.modules)
+"""
+
 
 @pytest.mark.parametrize("workers", [1, 2])
-@pytest.mark.parametrize("command", ["simulate", "rollout"])
+@pytest.mark.parametrize("command", ["simulate", "rollout", "run_ensemble", "rollout_ensemble"])
 def test_writing_a_file_leaves_mmap_unloaded(tiny_pipeline, tmp_path, command, workers):
     """`simulate` and `rollout` write their rows through the file's
-    descriptor at any worker count: `mmap` is loaded only by the in-memory
-    fan-out. Run in a fresh interpreter."""
+    descriptor at any worker count, and the in-memory `run_ensemble` and
+    `rollout_ensemble` through a temp file's: nothing loads `mmap`. Run in
+    a fresh interpreter."""
     _, paths = tiny_pipeline
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = {**os.environ, "PYTHONPATH": src}
-    argv = file_command(command, paths["ckpt"], workers) + ["--out", str(tmp_path / "e.traj")]
-    probe = subprocess.run([sys.executable, "-c", MMAP_PROBE, *argv], env=env,
+    if command in ("simulate", "rollout"):
+        argv = [MMAP_PROBE, *file_command(command, paths["ckpt"], workers),
+                "--out", str(tmp_path / "e.traj")]
+    else:
+        argv = [IN_MEMORY_PROBE, command, str(paths["ckpt"]), str(workers)]
+    probe = subprocess.run([sys.executable, "-c", *argv], env=env,
                            capture_output=True, text=True, check=True, timeout=300)
     assert probe.stdout.split()[-2:] == ["0", "False"]
 

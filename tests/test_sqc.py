@@ -1,10 +1,9 @@
 import gc
-import mmap
 import os
 import re
 import subprocess
 import sys
-import weakref
+import tempfile
 
 import numpy as np
 import pytest
@@ -12,6 +11,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 import mmsqc
 from mmsqc import arrayio, sqc
+from mmsqc.dataset import SequenceDataset
 from mmsqc.models import HBAR_EV_FS, SiteExcitonModel, build_model
 from mmsqc.sqc import (
     ENERGY_CHUNK,
@@ -35,6 +35,7 @@ from mmsqc.sqc import (
     _tree_sum_rows,
 )
 from mmsqc.streams import substream
+from mmsqc.surrogate import TrainConfig, train
 
 GAMMA = 1.0 / 3.0
 
@@ -585,7 +586,7 @@ def test_workers_score_the_drift_of_their_trajectories(label, workers, tmp_path)
     assert norm_drift == pytest.approx(mapping_norm_drift(model, ens).max(), rel=1e-6, abs=1e-15)
 
 
-def test_out_must_be_a_shared_mapping_of_the_ensembles_shape(tmp_path):
+def test_out_must_be_a_row_writer_of_the_ensembles_shape(tmp_path):
     model = build_model("I")
     icfg = IntegratorConfig(0.05)
     shape = (3, 3, model.dim)
@@ -662,9 +663,9 @@ print(grown / ens.data.nbytes)
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_fan_out_holds_one_copy_of_the_ensemble(workers):
     """The parent's peak RSS grows by about one payload (3400 x 51 x 36
-    doubles, 50 MB) at any worker count: workers write in place, nothing is
-    sent back or stacked. Run in a fresh interpreter so that the high-water
-    mark starts from a clean import."""
+    doubles, 50 MB) at any worker count: every chunk writes its rows to a
+    temp file once, and nothing is sent back or stacked. Run in a fresh
+    interpreter so that the high-water mark starts from a clean import."""
     src = os.path.dirname(os.path.dirname(mmsqc.__file__))
     env = {**os.environ, "PYTHONPATH": src}
     probe = subprocess.run([sys.executable, "-c", MEMORY_PROBE, str(workers)], env=env,
@@ -704,8 +705,7 @@ def test_one_worker_writes_out_through_the_file(tmp_path):
 def test_shared_ensemble_outlives_its_pool(tmp_path):
     """An ensemble from the worker fan-out is an ordinary array: C-contiguous,
     writable float64, byte-equal to the one-worker result once the workers
-    have exited and after a collection, and through a save/load round trip.
-    Its shared mapping lives exactly as long as the array and its views."""
+    have exited and after a collection, and through a save/load round trip."""
     model = build_model("I")
     icfg = IntegratorConfig(0.05)
     shared = run_ensemble(model, 9, 0, 21, icfg, 4.0, 1.0, workers=2)
@@ -717,18 +717,27 @@ def test_shared_ensemble_outlives_its_pool(tmp_path):
     path = str(tmp_path / "shared.traj")
     shared.save(path)
     assert TrajectoryEnsemble.load(path).data.tobytes() == base.data.tobytes()
-    owner = data
-    while isinstance(owner, np.ndarray):
-        owner = owner.base
-    mapping = weakref.ref(owner.obj)   # the memoryview's exporter
-    del shared, owner
-    gc.collect()
-    assert data.tobytes() == base.data.tobytes()   # the view keeps the mapping
-    data[0, 0, 0] += 1.0
-    assert isinstance(mapping(), mmap.mmap)
-    del data
-    gc.collect()
-    assert mapping() is None
+
+
+def test_temp_files_leave_tmpdir_as_found(tmp_path, monkeypatch):
+    """In-memory rows and the best weights of `train` wait in unnamed temp
+    files: a run, a run that fails in a worker and a training leave TMPDIR
+    as they found it."""
+    tmpdir = tmp_path / "tmp"
+    tmpdir.mkdir()
+    (tmpdir / "older").write_bytes(b"kept")
+    monkeypatch.setattr(tempfile, "tempdir", str(tmpdir))
+    model = build_model("I")
+    icfg = IntegratorConfig(0.05)
+    ens = run_ensemble(model, 3, 0, 1, icfg, 2.0, 1.0, workers=2)
+    Y0 = _sample_starts(model, 0, 5, 0, 6)
+    Y0[4, 0] = 1e200
+    with pytest.raises(IntegrationError):
+        _map_chunks(_propagate_batch, len(Y0), rows_of(Y0), (3, model.dim), 2, model, icfg, 1.0)
+    dataset = SequenceDataset(3, model.dim, ens.data, ens.data[:1].copy())
+    train(dataset, TrainConfig(seq_len=3, hidden=4, learning_rate=1e-3, epochs=2))
+    assert [p.name for p in tmpdir.iterdir()] == ["older"]
+    assert (tmpdir / "older").read_bytes() == b"kept"
 
 
 def test_run_ensemble_rejects_zero_trajectories():

@@ -428,7 +428,7 @@ def test_evaluate_loss_holds_one_output_block():
 
 def test_adam_zero_gradients_fresh_state():
     params = random_params(3, 4, 51)
-    before = params.copy()
+    before = LstmParams(params.flat.copy(), params.dim, params.hidden)
     new, state = adam_step(params, LstmParams.zeros(3, 4), AdamState.zeros(3, 4), lr=1e-3)
     assert params_equal(new, before)
     assert state.step == 1
@@ -450,8 +450,10 @@ def test_adam_first_step_is_signed_learning_rate():
 def test_adam_determinism():
     params = random_params(3, 4, 61)
     grads = random_params(3, 4, 62)
-    a, _ = adam_step(params.copy(), grads, AdamState.zeros(3, 4), lr=1e-4)
-    b, _ = adam_step(params.copy(), grads, AdamState.zeros(3, 4), lr=1e-4)
+    a, _ = adam_step(LstmParams(params.flat.copy(), params.dim, params.hidden), grads,
+                     AdamState.zeros(3, 4), lr=1e-4)
+    b, _ = adam_step(LstmParams(params.flat.copy(), params.dim, params.hidden), grads,
+                     AdamState.zeros(3, 4), lr=1e-4)
     assert params_equal(a, b)
 
 
@@ -674,6 +676,15 @@ def test_train_returns_its_best_epoch(seed, lr, epochs):
 
 def test_train_reads_back_an_earlier_best_epoch():
     assert check_best_is_the_shorter_run(0, 3e-1, 6) == 1
+
+
+def test_train_refuses_best_weights_that_do_not_come_back(monkeypatch):
+    """A best-weights file shorter than the vector is an OSError, not weights
+    that mix two epochs. Here no write reaches the file."""
+    monkeypatch.setattr(arrayio.PayloadWriter, "__call__", lambda self, first, rows: None)
+    cfg = TrainConfig(seq_len=4, hidden=5, learning_rate=3e-1, batch_size=4, epochs=6, seed=0)
+    with pytest.raises(OSError, match="best-weights file ended early"):
+        train(noisy_dataset(0), cfg)   # best epoch 1 of 6
 
 
 def test_train_holds_four_parameter_vectors():
