@@ -32,6 +32,7 @@ TENSOR_FIELDS = ("W_i", "W_f", "W_o", "W_g", "U_i", "U_f", "U_o", "U_g",
 
 EVAL_CHUNK = 512   # sequences per forward pass when evaluating a loss
 ADAM_BLOCK = 32768  # elements per Adam block; its temporaries are two blocks
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # Adam's standard setting; no other is used
 
 
 def _flat_size(dim: int, hidden: int) -> int:
@@ -170,21 +171,18 @@ def _unroll(params: LstmParams, x0: np.ndarray, out: np.ndarray,
 
 
 def one_to_many_forward(x0, seq_len: int, params: LstmParams):
-    """Unroll the network from a single input: y_1 .. y_{L-1}.
+    """Unroll the network from one input per sequence: y_1 .. y_{L-1}.
 
-    x0 is (D,) or (B, D); outputs are (L-1, D) or (B, L-1, D), plus the
-    `ForwardRecord` that `backward` needs. Step 1 consumes x0, later steps
-    consume the previous read-out; h and c start at zero. The outputs are a
-    view of the record's time-major x[1:].
+    x0 is (B, D); outputs are (B, L-1, D), plus the `ForwardRecord` that
+    `backward` needs. Step 1 consumes x0, later steps consume the previous
+    read-out; h and c start at zero. The outputs are a view of the record's
+    time-major x[1:].
     """
     if seq_len < 2:
         raise ValueError("seq_len must be at least 2")
     x = np.asarray(x0, dtype=float)
-    if x.shape[-1] != params.dim:
-        raise ValueError(f"input dimension {x.shape[-1]} does not match D={params.dim}")
-    single = x.ndim == 1
-    if single:
-        x = x[None]
+    if x.ndim != 2 or x.shape[1] != params.dim:
+        raise ValueError(f"input of shape {x.shape} is not (B, D) with D={params.dim}")
     B, H = x.shape[0], params.hidden
     record = ForwardRecord(np.empty((seq_len, B, params.dim)),
                            np.empty((seq_len - 1, B, 4 * H)),
@@ -193,7 +191,7 @@ def one_to_many_forward(x0, seq_len: int, params: LstmParams):
     record.h[0] = record.c[0] = 0.0
     ys = record.x[1:].swapaxes(0, 1)
     _unroll(params, x, ys, record)
-    return (ys[0] if single else ys), record
+    return ys, record
 
 
 def sequence_loss(pred, target) -> float:
@@ -211,8 +209,8 @@ def backward(record: ForwardRecord, loss_grads, params: LstmParams,
     """Exact gradients of the unrolled network w.r.t. every parameter.
 
     `record` comes from `one_to_many_forward` and is left unchanged.
-    `loss_grads` is dLoss/dy per step, same shape as the forward outputs.
-    Gradients flowing through fed-back outputs are included. Batched inputs
+    `loss_grads` is dLoss/dy per step, (B, L-1, D) as the forward outputs.
+    Gradients flowing through fed-back outputs are included. They
     accumulate (sum) over the batch: each weight gradient is one matmul over
     all steps and sequences. If `out` is given, it is filled and returned,
     so a training loop can reuse one gradient vector.
@@ -220,8 +218,6 @@ def backward(record: ForwardRecord, loss_grads, params: LstmParams,
     dY = np.asarray(loss_grads, dtype=float)
     if record is None:
         raise ValueError("no forward record supplied")
-    if dY.ndim == 2:
-        dY = dY[None]
     steps, B = record.gates.shape[:2]
     D, H = params.dim, params.hidden
     if dY.shape != (B, steps, D) or record.h.shape[2] != H:
@@ -290,8 +286,8 @@ class AdamState:
 
 
 def adam_step(params: LstmParams, grads: LstmParams, state: AdamState,
-              lr: float, beta1: float = 0.9, beta2: float = 0.999,
-              eps: float = 1e-8) -> tuple[LstmParams, AdamState]:
+              lr: float, beta1: float = ADAM_BETA1, beta2: float = ADAM_BETA2,
+              eps: float = ADAM_EPS) -> tuple[LstmParams, AdamState]:
     """Standard bias-corrected Adam update on the flat vectors. `params` and
     the moments are updated in place, ADAM_BLOCK elements at a time through
     two block-sized scratch arrays, with the same elementwise operations in
@@ -332,9 +328,8 @@ class TrainConfig:
     batch_size: int = 50
     epochs: int = 2000
     seed: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
+    # Adam's constants, readable from a config; class attributes, not fields, so fixed
+    beta1, beta2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPS
 
     def __post_init__(self):
         if self.seq_len < 2:
@@ -345,11 +340,6 @@ class TrainConfig:
         if not 0.0 <= self.learning_rate < np.inf:
             raise ValueError(f"learning rate must be finite and non-negative, "
                              f"got {self.learning_rate}")
-        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
-            raise ValueError(f"beta1 and beta2 must lie in [0, 1), "
-                             f"got {self.beta1} and {self.beta2}")
-        if not 0.0 < self.eps < np.inf:
-            raise ValueError(f"eps must be finite and positive, got {self.eps}")
 
 
 @dataclass
@@ -425,8 +415,7 @@ def train(dataset: SequenceDataset, cfg: TrainConfig,
                 dY *= 2.0 / ys.size
                 backward(record, dY, params, out=grads)
                 del ys, record, dY, seqs, targets   # free the batch before the next forward
-                params, adam = adam_step(params, grads, adam, cfg.learning_rate,
-                                         cfg.beta1, cfg.beta2, cfg.eps)
+                params, adam = adam_step(params, grads, adam, cfg.learning_rate)
             del grads   # the validation pass runs beside three vectors
             train_losses.append(epoch_sq / dataset.n_train)
             val = evaluate_loss(dataset.validation, params, cfg.seq_len)

@@ -143,8 +143,8 @@ def test_criterion_5_gradient_correctness():
     for seed in range(5):
         rng = np.random.default_rng(1000 + seed)
         params = sg.init_params(dim, hidden, rng)
-        x0 = rng.normal(size=dim)
-        target = rng.normal(size=(seq_len - 1, dim))
+        x0 = rng.normal(size=(1, dim))
+        target = rng.normal(size=(1, seq_len - 1, dim))
         ys, caches = sg.one_to_many_forward(x0, seq_len, params)
         grads = sg.backward(caches, (2.0 / ys.size) * (ys - target), params)
         for name in sg.TENSOR_FIELDS:

@@ -62,11 +62,11 @@ def manual_rollout(x0, params, total_steps, seq_len):
     vectors = [x0]
     x = x0
     while len(vectors) - 1 < total_steps:
-        ys, _ = one_to_many_forward(x, seq_len, params)
-        for y in ys:
+        ys, _ = one_to_many_forward(x[None], seq_len, params)
+        for y in ys[0]:
             if len(vectors) - 1 < total_steps:
                 vectors.append(y)
-        x = ys[-1]
+        x = ys[0, -1]
     return np.array(vectors)
 
 

@@ -197,7 +197,7 @@ def test_negative_size_in_header_is_a_header_error(tmp_path):
 @pytest.mark.parametrize("pad", range(8))   # header lengths of every residue mod 8
 @settings(max_examples=15, deadline=None)
 @given(data=st.data())
-def test_mapped_file_equals_the_written_file(pad, data):
+def test_row_writer_file_equals_the_written_file(pad, data):
     """A payload written through `payload_file`'s writer, in any partition of
     its rows and in any order, gives the bytes `write_array_file` writes and
     reads back bit-exact. The writer refuses rows of another trailing shape
@@ -208,9 +208,9 @@ def test_mapped_file_equals_the_written_file(pad, data):
     ranges = data.draw(st.permutations(list(zip([0, *cuts], [*cuts, shape[0]]))))
     header = {"pad": "x" * pad, "n": list(shape)}
     with tempfile.TemporaryDirectory() as tmp:
-        written, mapped = f"{tmp}/written", f"{tmp}/mapped"
+        written, row_written = f"{tmp}/written", f"{tmp}/row_written"
         arrayio.write_array_file(written, arrayio.ENSEMBLE, header, payload)
-        with arrayio.payload_file(mapped, arrayio.ENSEMBLE, header, shape) as write:
+        with arrayio.payload_file(row_written, arrayio.ENSEMBLE, header, shape) as write:
             assert write.shape == shape
             for a, b in ranges:
                 write(a, payload[a:b])
@@ -220,11 +220,11 @@ def test_mapped_file_equals_the_written_file(pad, data):
                                 (-1, np.zeros((1, *shape[1:])))]:
                 with pytest.raises(ValueError, match="do not fit"):
                     write(first, rows)
-        assert Path(mapped).read_bytes() == Path(written).read_bytes()
-        _, (back,) = arrayio.read_array_file(mapped, arrayio.ENSEMBLE,
+        assert Path(row_written).read_bytes() == Path(written).read_bytes()
+        _, (back,) = arrayio.read_array_file(row_written, arrayio.ENSEMBLE,
                                              lambda h: [tuple(h["n"])])
         assert back.tobytes() == payload.tobytes()
-        assert sorted(p.name for p in Path(tmp).iterdir()) == ["mapped", "written"]
+        assert sorted(p.name for p in Path(tmp).iterdir()) == ["row_written", "written"]
 
 
 def test_payload_writer_is_closed_after_its_block(tmp_path):
@@ -246,7 +246,7 @@ def test_payload_writer_is_closed_after_its_block(tmp_path):
         write(0, np.zeros((1, 3)))
 
 
-def test_mapped_file_fails_cleanly(tmp_path, monkeypatch):
+def test_row_writer_file_fails_cleanly(tmp_path, monkeypatch):
     """An error inside the block, or a full disk when the payload's blocks
     are reserved, leaves neither the file nor a temp file, and an older file
     under the same name as it was."""

@@ -1,7 +1,9 @@
+import inspect
 import math
 import pickle
+import re
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -11,7 +13,10 @@ from mmsqc import arrayio
 from mmsqc.dataset import SequenceDataset
 from mmsqc.streams import substream
 from mmsqc.surrogate import (
+    ADAM_BETA1,
+    ADAM_BETA2,
     ADAM_BLOCK,
+    ADAM_EPS,
     TENSOR_FIELDS,
     AdamState,
     ForwardRecord,
@@ -120,41 +125,47 @@ def test_cell_zero_state_matches_explicit_zeros():
 @pytest.mark.parametrize("seq_len", [2, 5, 20])
 def test_forward_output_count(seq_len):
     params = random_params(4, 6, 1)
-    ys, caches = one_to_many_forward(np.zeros(4), seq_len, params)
-    assert ys.shape == (seq_len - 1, 4)
+    ys, caches = one_to_many_forward(np.zeros((1, 4)), seq_len, params)
+    assert ys[0].shape == (seq_len - 1, 4)
     assert len(caches.gates) == seq_len - 1
 
 
 def test_forward_zero_weights_is_constant_bias():
     params = LstmParams.zeros(3, 5)
     params.b_d[:] = [1.5, -0.5, 2.0]
-    ys, _ = one_to_many_forward(np.array([7.0, -3.0, 0.1]), 6, params)
+    ys, _ = one_to_many_forward(np.array([[7.0, -3.0, 0.1]]), 6, params)
     assert np.allclose(ys, params.b_d[None, :], atol=0)
 
 
-def test_forward_batch_matches_single():
-    params = random_params(4, 6, 3)
-    x = np.random.default_rng(8).normal(size=(5, 4))
-    ys_batch, _ = one_to_many_forward(x, 4, params)
-    for i in range(5):
-        ys_one, _ = one_to_many_forward(x[i], 4, params)
-        assert np.allclose(ys_one, ys_batch[i], atol=1e-14)
+@settings(max_examples=30, deadline=None)
+@given(dim=st.integers(1, 6), hidden=st.integers(1, 8), seq_len=st.integers(2, 6),
+       batch=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+def test_forward_batch_matches_single(dim, hidden, seq_len, batch, seed):
+    """A batch of one sequence gives the outputs of its row in a larger batch."""
+    rng = np.random.default_rng(seed)
+    params = init_params(dim, hidden, rng)
+    x = rng.normal(size=(batch, dim))
+    i = rng.integers(batch)
+    ys_batch, _ = one_to_many_forward(x, seq_len, params)
+    ys_one, _ = one_to_many_forward(x[i][None], seq_len, params)
+    assert np.allclose(ys_one[0], ys_batch[i], atol=1e-14)
 
 
 def test_forward_determinism():
     params = random_params(4, 6, 9)
     x = np.random.default_rng(1).normal(size=4)
-    a, _ = one_to_many_forward(x, 5, params)
-    b, _ = one_to_many_forward(x, 5, params)
+    a, _ = one_to_many_forward(x[None], 5, params)
+    b, _ = one_to_many_forward(x[None], 5, params)
     assert np.array_equal(a, b)
 
 
 def test_forward_rejects_bad_lengths():
     params = LstmParams.zeros(3, 4)
     with pytest.raises(ValueError):
-        one_to_many_forward(np.zeros(3), 1, params)
-    with pytest.raises(ValueError):
-        one_to_many_forward(np.zeros(2), 3, params)
+        one_to_many_forward(np.zeros((1, 3)), 1, params)
+    for shape in [(1, 2), (3,), (1, 1, 3)]:
+        with pytest.raises(ValueError, match=re.escape(str(shape))):
+            one_to_many_forward(np.zeros(shape), 3, params)
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +192,7 @@ def test_sequence_loss_basics():
 
 def test_backward_zero_loss_gradient():
     params = random_params(4, 6, 11)
-    ys, caches = one_to_many_forward(np.ones(4), 5, params)
+    ys, caches = one_to_many_forward(np.ones((1, 4)), 5, params)
     grads = backward(caches, np.zeros_like(ys), params)
     for name in TENSOR_FIELDS:
         arr = getattr(grads, name)
@@ -192,8 +203,8 @@ def test_backward_finite_differences():
     dim, hidden, seq_len = 6, 8, 5
     params = random_params(dim, hidden, 21)
     rng = np.random.default_rng(22)
-    x0 = rng.normal(size=dim)
-    target = rng.normal(size=(seq_len - 1, dim))
+    x0 = rng.normal(size=(1, dim))
+    target = rng.normal(size=(1, seq_len - 1, dim))
 
     ys, caches = one_to_many_forward(x0, seq_len, params)
     grads = backward(caches, (2.0 / ys.size) * (ys - target), params)
@@ -223,17 +234,19 @@ def test_backward_bias_gradient_closed_form():
     params = random_params(4, 6, 31)
     for gate in "ifog":
         getattr(params, f"W_{gate}")[:] = 0.0
-    ys, caches = one_to_many_forward(np.zeros(4), 5, params)
+    ys, caches = one_to_many_forward(np.zeros((1, 4)), 5, params)
     dY = np.random.default_rng(3).normal(size=ys.shape)
     grads = backward(caches, dY, params)
-    assert np.allclose(grads.b_d, dY.sum(axis=0), atol=1e-12)
+    assert np.allclose(grads.b_d, dY[0].sum(axis=0), atol=1e-12)
 
 
 def test_backward_requires_matching_caches():
     params = random_params(4, 6, 41)
-    ys, caches = one_to_many_forward(np.zeros(4), 5, params)
+    ys, caches = one_to_many_forward(np.zeros((1, 4)), 5, params)
     with pytest.raises(ValueError):
         backward(None, ys, params)
+    with pytest.raises(ValueError):   # one sequence's (L-1, D) gradient is not a batch
+        backward(caches, np.zeros_like(ys[0]), params)
     shorter = ForwardRecord(caches.x[:-1], caches.gates[:-1], caches.h[:-1], caches.c[:-1])
     with pytest.raises(ValueError):
         backward(shorter, np.zeros_like(ys), params)
@@ -706,15 +719,29 @@ def test_train_holds_four_parameter_vectors():
     ("learning_rate", -1e-3), ("learning_rate", math.inf), ("learning_rate", math.nan),
 ])
 def test_train_config_rejects_bad_optimizer_settings(field, value):
-    """Settings that cannot train: beta1 = 1 divides by zero in the first
-    step, beta2 = 1 gives NaN weights, eps < 0 gives -inf weights."""
-    with pytest.raises(ValueError, match=field.split("_")[0]):
+    """A learning rate that cannot train (negative, infinite or NaN) is a
+    ValueError. Adam's beta1, beta2 and eps are constants, so passing any
+    value for them is a TypeError that names the keyword."""
+    error = ValueError if field == "learning_rate" else TypeError
+    with pytest.raises(error, match=field.split("_")[0]):
         TrainConfig(seq_len=3, **{field: value})
 
 
 def test_train_config_accepts_edge_optimizer_settings():
-    cfg = TrainConfig(seq_len=3, learning_rate=0.0, beta1=0.0, beta2=0.0, eps=1e-300)
-    assert (cfg.beta1, cfg.beta2) == (0.0, 0.0)
+    cfg = TrainConfig(seq_len=3, learning_rate=0.0)
+    assert cfg.learning_rate == 0.0
+
+
+def test_adam_settings_are_constants_not_config_fields():
+    """beta1, beta2 and eps are the module constants that `adam_step`
+    defaults to; a config reads them but cannot set them."""
+    assert [f.name for f in fields(TrainConfig)] == [
+        "seq_len", "hidden", "learning_rate", "batch_size", "epochs", "seed"]
+    cfg = TrainConfig(seq_len=3)
+    assert (cfg.beta1, cfg.beta2, cfg.eps) == (ADAM_BETA1, ADAM_BETA2, ADAM_EPS)
+    defaults = inspect.signature(adam_step).parameters
+    assert [defaults[k].default for k in ("beta1", "beta2", "eps")] == [
+        ADAM_BETA1, ADAM_BETA2, ADAM_EPS]
 
 
 def test_train_validates_config_against_dataset():
@@ -751,6 +778,17 @@ def test_checkpoint_round_trip(tmp_path):
     assert header["val_loss"] == [1.5, 1.0, 0.75]
     save_checkpoint(str(tmp_path / "m2.ckpt"), params, cfg, report)
     assert (tmp_path / "m.ckpt").read_bytes() == (tmp_path / "m2.ckpt").read_bytes()
+
+
+def test_checkpoint_records_every_training_setting(tmp_path):
+    """Every TrainConfig field is a header key holding the run's value, so
+    no training setting goes unrecorded."""
+    cfg = TrainConfig(seq_len=4, hidden=7, learning_rate=1e-4, batch_size=2,
+                      epochs=3, seed=13)
+    path = str(tmp_path / "m.ckpt")
+    save_checkpoint(path, random_params(5, 7, 82), cfg)
+    _, header = load_checkpoint(path)
+    assert {f.name: header.get(f.name) for f in fields(TrainConfig)} == vars(cfg)
 
 
 def test_checkpoint_errors(tmp_path):
