@@ -54,32 +54,6 @@ class RolloutConfig:
 BLOCK = 64   # trajectories replayed together; every GEMM has this many rows
 
 
-def _rollout_block(starts: np.ndarray, params: LstmParams, fold, total_steps: int,
-                   seq_len: int, out: np.ndarray, first: int = 0) -> None:
-    """Chunked autoregression of up to BLOCK start vectors (n, D) as one
-    batch, zero-padded to BLOCK rows. Writes (n, total_steps + 1, D), x0 at
-    step 0, into `out`. Each chunk starts from the zero state on x0 or the
-    last forecast; its later steps run through `fold` = `_fold_readout(params)`.
-    A non-finite step raises RolloutError naming the trajectory (`first` +
-    row) that fails first, lowest row on a tie."""
-    n = starts.shape[0]
-    x = np.zeros((BLOCK, starts.shape[1]))
-    x[:n] = starts
-    out[:, 0] = starts
-    done = 0
-    # a diverging prediction overflows to inf; the finite check reports it
-    with np.errstate(over="ignore", invalid="ignore"):
-        while done < total_steps:
-            chunk = out[:, done + 1:done + 1 + min(seq_len - 1, total_steps - done)]
-            x = _unroll(params, x, chunk, fold=fold)   # the last forecast seeds the next chunk
-            bad = ~np.all(np.isfinite(chunk), axis=2)            # (n, steps)
-            if bad.any():
-                step = int(np.flatnonzero(bad.any(axis=0))[0])
-                raise RolloutError(done + step + 1,
-                                   first + int(np.flatnonzero(bad[:, step])[0]))
-            done += chunk.shape[1]
-
-
 def rollout_trajectory(x0, params: LstmParams, total_steps: int, seq_len: int,
                        n_states: int, record_dt: float = 1.0) -> Trajectory:
     """Replay one trajectory from a single state vector. It runs as row 0 of
@@ -90,15 +64,35 @@ def rollout_trajectory(x0, params: LstmParams, total_steps: int, seq_len: int,
     if x0.shape != (params.dim,):
         raise ValueError(f"x0 has shape {x0.shape}, network expects ({params.dim},)")
     data = np.empty((1, total_steps + 1, params.dim))
-    _rollout_block(x0[None], params, _fold_readout(params), total_steps, seq_len, data)
+    _rollout_chunk(x0[None], 0, data, params, _fold_readout(params), total_steps, seq_len)
     return Trajectory(record_dt, data[0], n_states)
 
 
 def _rollout_chunk(starts: np.ndarray, offset: int, out: np.ndarray, params: LstmParams,
                    fold, total_steps: int, seq_len: int) -> None:
-    for a in range(0, starts.shape[0], BLOCK):
-        _rollout_block(starts[a:a + BLOCK], params, fold, total_steps, seq_len,
-                       out[a:a + BLOCK], offset + a)
+    """Chunked autoregression of the start vectors (n, D) into `out` (n,
+    total_steps + 1, D), x0 at step 0, as zero-padded batches of BLOCK rows.
+    Each chunk starts from the zero state on x0 or the last forecast; its
+    later steps run through `fold` = `_fold_readout(params)`. A non-finite
+    step raises RolloutError naming the trajectory (`offset` + row) that
+    fails first, blocks in order, lowest row on a tie."""
+    out[:, 0] = starts
+    # a diverging prediction overflows to inf; the finite check reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for a in range(0, starts.shape[0], BLOCK):
+            rows = out[a:a + BLOCK]
+            x = np.zeros((BLOCK, starts.shape[1]))
+            x[:len(rows)] = starts[a:a + BLOCK]
+            done = 0
+            while done < total_steps:
+                chunk = rows[:, done + 1:done + 1 + min(seq_len - 1, total_steps - done)]
+                x = _unroll(params, x, chunk, fold=fold)   # the last forecast seeds the next chunk
+                bad = ~np.all(np.isfinite(chunk), axis=2)            # (n, steps)
+                if bad.any():
+                    step = int(np.flatnonzero(bad.any(axis=0))[0])
+                    raise RolloutError(done + step + 1,
+                                       offset + a + int(np.flatnonzero(bad[:, step])[0]))
+                done += chunk.shape[1]
 
 
 def rollout_ensemble(model: SiteExcitonModel, params: LstmParams, cfg: RolloutConfig,

@@ -17,10 +17,9 @@ what trajectory files hold and what the surrogate reads and writes. There is
 no second representation. Time is in fs, energies in eV, hbar in eV*fs.
 
 The integrator is fixed-step RK4 with the harmonic bath in closed form
-(`_BathRK4`, no switch; it changed output bytes once, at roundoff level). It
-uses only elementwise operations and fixed-tree reductions, so propagating an
-ensemble in chunks of any size is bitwise identical to propagating it whole;
-worker count never changes results.
+(`_BathRK4`). It uses only elementwise operations and fixed-tree reductions,
+so propagating an ensemble in chunks of any size is bitwise identical to
+propagating it whole; worker count never changes results.
 """
 
 import functools
@@ -291,6 +290,8 @@ class Trajectory:
         self.data = np.asarray(self.data, dtype=float)
         if self.data.ndim != 2:
             raise ValueError("trajectory data must be (n_records, dim)")
+        if not 0.0 < self.record_dt < np.inf:   # also refuses nan
+            raise ValueError(f"record_dt must be finite and positive, got {self.record_dt}")
 
     @property
     def n_records(self) -> int:
@@ -327,6 +328,8 @@ class TrajectoryEnsemble:
         self.data = np.asarray(self.data, dtype=float)
         if self.data.ndim != 3:
             raise ValueError("ensemble data must be (n_traj, n_records, dim)")
+        if not 0.0 < self.record_dt < np.inf:   # also refuses nan
+            raise ValueError(f"record_dt must be finite and positive, got {self.record_dt}")
         nuclear = self.dim - 2 * self.n_states
         if self.n_states < 1 or nuclear < 0 or nuclear % 2:
             raise ValueError(f"n_states {self.n_states} does not fit state vectors of size "
@@ -395,7 +398,7 @@ def _grid_steps(total: float, step: float, what: str) -> int:
 
 
 class _BathRK4:
-    """RK4 on a (dim, n) batch Y with the bath, linear in (Q, P), in closed form:
+    """RK4 from the start rows Y0 (n, dim) with the bath, linear in (Q, P), in closed form:
     the mapping pairs run the four stages on diagonals from four bath moments,
     and (Q, P) advance once per substep by the increment those stages give
     (h the substep, u1..u4 the stage weights, theta = h omega, all over hbar):
@@ -407,12 +410,13 @@ class _BathRK4:
 
     where S0..S3 sum kappa Q, kappa omega P, kappa omega^2 Q and kappa omega^3 P
     over each state's modes, c = sum kappa^2 omega, a = 1 - theta^2/2 +
-    theta^4/24 and b = theta - theta^3/6. B (m, 2, n_states, n) holds Q, P padded.
+    theta^4/24 and b = theta - theta^3/6. E (2, n_states, n) holds a copy of
+    x_e, p_e and B (m, 2, n_states, n) Q, P padded; `store` writes (n, dim) rows.
     """
 
-    def __init__(self, ham: _Hamiltonian, h: float, Y: np.ndarray):
+    def __init__(self, ham: _Hamiltonian, h: float, Y0: np.ndarray):
         self.ham, self.h = ham, h
-        ne, m, n = ham.ne, ham.m, Y.shape[1]
+        ne, m, n = ham.ne, ham.m, Y0.shape[0]
         kappa, theta = ham.kappa_pad, h * ham.omega_pad      # (m, n_states, 1)
         decay, turn = theta**4 / 24 - theta**2 / 2, theta - theta**3 / 6   # a - 1, b
 
@@ -428,17 +432,17 @@ class _BathRK4:
         self.kick_early = wide(h * kappa * theta**3 / 24, h * kappa * theta**2 / 12)
         q = ham.slots + ham.slots // ne * ne   # canonical rows' places in B, flattened
         self.rows = np.concatenate([q, q + ne])
-        self.E = Y[:2 * ne].reshape(2, ne, n).copy()
+        self.E = Y0[:, :2 * ne].T.reshape(2, ne, n).copy()   # a view of Y0 without the copy
         self.B = np.zeros((m, 2, ne, n))
-        self.B.reshape(-1, n)[self.rows] = Y[2 * ne:]
+        self.B.reshape(-1, n)[self.rows] = Y0[:, 2 * ne:].T
         self.terms = np.empty((m, 2, 2, ne, n))
         self.inc, self.tmp = np.empty((2, m, 2, ne, n))
         self.k, self.diag, self.u = np.empty((4, 2, ne, n)), *np.empty((2, 4, ne, n))
         self.u_early, self.u_sum = np.empty((2, 2, ne, n))
 
-    def store(self, Y: np.ndarray) -> None:
-        Y[:2 * self.ham.ne] = self.E.reshape(2 * self.ham.ne, -1)
-        np.take(self.B.reshape(-1, Y.shape[1]), self.rows, axis=0, out=Y[2 * self.ham.ne:])
+    def store(self, rows: np.ndarray) -> None:
+        rows[:, :2 * self.ham.ne] = self.E.reshape(2 * self.ham.ne, -1).T
+        np.take(self.B.reshape(-1, len(rows)), self.rows, axis=0, out=rows[:, 2 * self.ham.ne:].T)
 
     def step(self) -> None:
         ham, h, E, B, k, D, u = self.ham, self.h, self.E, self.B, self.k, self.diag, self.u
@@ -484,22 +488,21 @@ def _propagate_batch(Y0: np.ndarray, offset: int, out: np.ndarray, model: SiteEx
     n_rec = out.shape[1]
     n_sub = _grid_steps(record_dt, icfg.dt_internal, "record_dt")
     out[:, 0] = Y0
-    Y = Y0.T.copy()   # variables-major for contiguous kernel ops; Y0 is left as it was
-    rk4 = _BathRK4(_Hamiltonian(model), record_dt / n_sub, Y)
+    rk4 = _BathRK4(_Hamiltonian(model), record_dt / n_sub, Y0)
     # a diverging trajectory overflows to inf; the finite check below reports
     # it, so the overflow warning itself would be redundant noise
     with np.errstate(over="ignore", invalid="ignore"):
         for rec in range(1, n_rec):
             for _ in range(n_sub):
                 rk4.step()
-            rk4.store(Y)
-            if not np.all(np.isfinite(Y)):
+            rows = out[:, rec]
+            rk4.store(rows)
+            if not np.all(np.isfinite(rows)):
                 # lowest trajectory first, then its lowest variable
-                row, var = np.argwhere(~np.isfinite(Y.T))[0]
+                row, var = np.argwhere(~np.isfinite(rows))[0]
                 raise IntegrationError(rec * record_dt,
                                        _variable_name(model, int(var)),
                                        offset + int(row))
-            out[:, rec] = Y.T
 
 
 def _propagate_scored(Y0: np.ndarray, offset: int, out: np.ndarray, model: SiteExcitonModel,
@@ -623,8 +626,9 @@ def run_ensemble(model: SiteExcitonModel, n_traj: int, init_state: int, seed: in
     """
     if n_traj < 1:
         raise ValueError("n_traj must be at least 1")
-    _check_init_state(model, init_state)   # fail before starting workers
+    _check_init_state(model, init_state)   # fail before sampling or starting workers
     n_rec = record_count(t_end, record_dt)
+    _grid_steps(record_dt, icfg.dt_internal, "record_dt")
     work = _propagate_batch if out is None else _propagate_scored
     data, drifts = _map_chunks(work, n_traj,
                                functools.partial(_sample_starts, model, init_state, seed),

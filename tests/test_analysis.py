@@ -225,6 +225,22 @@ def test_rollout_block_edges(n_traj, seed):
         assert (err.value.step, err.value.trajectory) == (1, bad)
 
 
+@settings(max_examples=10, deadline=None)
+@given(n_traj=st.sampled_from([1, BLOCK + 1]), seed=st.integers(0, 2**32 - 1))
+def test_replay_leaves_its_starts_alone(n_traj, seed):
+    """`_rollout_chunk` and `rollout_trajectory` only read their start
+    vectors: the caller's array keeps its bytes."""
+    model = small_model()
+    params = init_params(model.dim, 6, substream(seed, "init"))
+    starts = _sample_starts(model, 0, seed, 0, n_traj)
+    before = starts.tobytes()
+    _rollout_chunk(starts, 0, np.empty((n_traj, 6, model.dim)), params,
+                   _fold_readout(params), 5, 3)
+    assert starts.tobytes() == before
+    rollout_trajectory(starts[n_traj - 1], params, 5, 3, model.n_states)
+    assert starts.tobytes() == before
+
+
 def overflow_params():
     """D=2, H=1 network whose cell state starts at tanh(10 x0[0] + 0.1) and
     then grows by tanh(0.1) per step (all other gates saturate at 1, and

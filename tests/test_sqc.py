@@ -309,10 +309,24 @@ def test_bath_rk4_is_rk4_on_the_full_state(model, n, seed):
     _propagate_batch(Y0[i:i + 1], 0, alone, model, icfg, record_dt)
     assert alone.tobytes() == out[i:i + 1].tobytes()
     ham = _Hamiltonian(model)
-    Y = np.ascontiguousarray(Y0.T)
-    rk4 = _BathRK4(ham, 0.05, Y)
+    rk4 = _BathRK4(ham, 0.05, Y0)
     rk4.step()
-    assert rk4.diag[0].tobytes() == ham._diagonal(Y).tobytes()
+    assert rk4.diag[0].tobytes() == ham._diagonal(np.ascontiguousarray(Y0.T)).tobytes()
+
+
+@settings(max_examples=30, deadline=None)
+@given(model=custom_models(), n=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
+def test_propagation_leaves_its_starts_alone(model, n, seed):
+    """`_propagate_batch` and `propagate` only read their start vectors: the
+    caller's array keeps its bytes, also where `propagate` passes a view of
+    it on to the stepper."""
+    Y0 = np.random.default_rng(seed).normal(size=(n, model.dim))
+    before = Y0.tobytes()
+    icfg = IntegratorConfig(0.05)
+    _propagate_batch(Y0, 0, np.empty((n, 3, model.dim)), model, icfg, 1.0)
+    assert Y0.tobytes() == before
+    propagate(model, Y0[n - 1], icfg, 2.0, 1.0)
+    assert Y0.tobytes() == before
 
 
 # ---------------------------------------------------------------------------
@@ -416,6 +430,19 @@ def test_grid_validation():
     for wrong in (np.zeros(model.dim - 1), np.zeros((1, model.dim))):
         with pytest.raises(ValueError, match="model I needs a \\(36,\\) initial state"):
             propagate(model, wrong, IntegratorConfig(0.01), t_end=10.0, record_dt=1.0)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_substep_grid_is_checked_before_any_chunk(monkeypatch, workers):
+    """A record_dt that is no multiple of dt is refused before any chunk
+    samples its starts or any worker starts."""
+    def sampled(*args):
+        raise AssertionError("a chunk sampled its starts")
+
+    monkeypatch.setattr(sqc, "_sample_starts", sampled)
+    with pytest.raises(ValueError, match="record_dt: 1.0 is not a positive multiple of 0.03"):
+        run_ensemble(build_model("I"), 4, 0, 1, IntegratorConfig(0.03), 2.0, 1.0,
+                     workers=workers)
 
 
 def test_uncoupled_mode_returns_after_one_period():
@@ -823,6 +850,30 @@ def test_ensemble_refuses_a_state_count_its_vectors_cannot_hold(n_states, dim):
     else:
         with pytest.raises(ValueError, match=f"n_states {n_states} does not fit"):
             TrajectoryEnsemble(1.0, data, n_states)
+
+
+@settings(max_examples=80, deadline=None)
+@given(record_dt=st.floats() | st.sampled_from([0.0, -1.0, np.nan, np.inf, -np.inf, 0.5]))
+def test_record_grid_must_be_finite_and_positive(record_dt):
+    """Both trajectory containers refuse a record_dt that is NaN, infinite
+    or not positive, and `load` reports it as a HeaderError that names the
+    file; a finite positive record_dt loads as written."""
+    data = np.zeros((2, 3, 4))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "e.traj")
+        header = {**TrajectoryEnsemble(1.0, data, 1).header(), "record_dt": record_dt}
+        arrayio.write_array_file(path, arrayio.ENSEMBLE, header, data)
+        if 0.0 < record_dt < np.inf:
+            assert TrajectoryEnsemble.load(path).record_dt == record_dt
+            assert Trajectory(record_dt, data[0], 1).record_dt == record_dt
+            return
+        with pytest.raises(arrayio.HeaderError,
+                           match=re.escape(f"{path}: record_dt must be finite and positive")):
+            TrajectoryEnsemble.load(path)
+    for make in (lambda: TrajectoryEnsemble(record_dt, data, 1),
+                 lambda: Trajectory(record_dt, data[0], 1)):
+        with pytest.raises(ValueError, match="record_dt must be finite and positive"):
+            make()
 
 
 @pytest.mark.parametrize("n_states", [0, -1, 19])
