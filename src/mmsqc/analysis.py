@@ -63,19 +63,23 @@ def rollout_trajectory(x0, params: LstmParams, total_steps: int, seq_len: int,
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (params.dim,):
         raise ValueError(f"x0 has shape {x0.shape}, network expects ({params.dim},)")
+    if total_steps < 0 or seq_len < 2:
+        raise ValueError(f"total_steps must be >= 0 and seq_len >= 2, "
+                         f"got {total_steps} and {seq_len}")
     data = np.empty((1, total_steps + 1, params.dim))
-    _rollout_chunk(x0[None], 0, data, params, _fold_readout(params), total_steps, seq_len)
+    _rollout_chunk(x0[None], 0, data, params, _fold_readout(params), seq_len)
     return Trajectory(record_dt, data[0], n_states)
 
 
 def _rollout_chunk(starts: np.ndarray, offset: int, out: np.ndarray, params: LstmParams,
-                   fold, total_steps: int, seq_len: int) -> None:
+                   fold, seq_len: int) -> None:
     """Chunked autoregression of the start vectors (n, D) into `out` (n,
-    total_steps + 1, D), x0 at step 0, as zero-padded batches of BLOCK rows.
-    Each chunk starts from the zero state on x0 or the last forecast; its
-    later steps run through `fold` = `_fold_readout(params)`. A non-finite
-    step raises RolloutError naming the trajectory (`offset` + row) that
-    fails first, blocks in order, lowest row on a tie."""
+    steps + 1, D), x0 at step 0, as zero-padded batches of BLOCK rows; the
+    step count is read from `out`. Each chunk of seq_len - 1 steps (the last
+    one cut at `out`'s end) starts from the zero state on x0 or the last
+    forecast; its later steps run through `fold` = `_fold_readout(params)`.
+    A non-finite step raises RolloutError naming the trajectory (`offset` +
+    row) that fails first, blocks in order, lowest row on a tie."""
     out[:, 0] = starts
     # a diverging prediction overflows to inf; the finite check reports it
     with np.errstate(over="ignore", invalid="ignore"):
@@ -83,16 +87,14 @@ def _rollout_chunk(starts: np.ndarray, offset: int, out: np.ndarray, params: Lst
             rows = out[a:a + BLOCK]
             x = np.zeros((BLOCK, starts.shape[1]))
             x[:len(rows)] = starts[a:a + BLOCK]
-            done = 0
-            while done < total_steps:
-                chunk = rows[:, done + 1:done + 1 + min(seq_len - 1, total_steps - done)]
+            for done in range(0, out.shape[1] - 1, seq_len - 1):
+                chunk = rows[:, done + 1:done + seq_len]
                 x = _unroll(params, x, chunk, fold=fold)   # the last forecast seeds the next chunk
                 bad = ~np.all(np.isfinite(chunk), axis=2)            # (n, steps)
                 if bad.any():
                     step = int(np.flatnonzero(bad.any(axis=0))[0])
                     raise RolloutError(done + step + 1,
                                        offset + a + int(np.flatnonzero(bad[:, step])[0]))
-                done += chunk.shape[1]
 
 
 def rollout_ensemble(model: SiteExcitonModel, params: LstmParams, cfg: RolloutConfig,
@@ -116,7 +118,7 @@ def rollout_ensemble(model: SiteExcitonModel, params: LstmParams, cfg: RolloutCo
     data, _ = _map_chunks(_rollout_chunk, cfg.n_traj,
                           functools.partial(_sample_starts, model, cfg.init_state, cfg.seed),
                           (cfg.total_steps + 1, model.dim), cfg.workers, params,
-                          _fold_readout(params), cfg.total_steps, cfg.seq_len,
+                          _fold_readout(params), cfg.seq_len,
                           grain=BLOCK, out=out)
     if out is None:
         return TrajectoryEnsemble(cfg.record_dt, data, model.n_states,

@@ -391,7 +391,8 @@ def ensemble_file(path: str, model: SiteExcitonModel, shape: tuple, record_dt: f
 
 
 def _grid_steps(total: float, step: float, what: str) -> int:
-    n = round(total / step)
+    ratio = total / step if 0.0 < step < np.inf else np.nan   # also refuses a nan step
+    n = round(ratio) if np.isfinite(ratio) else 0
     if n < 1 or abs(n * step - total) > 1e-9 * max(1.0, abs(total)):
         raise ValueError(f"{what}: {total} is not a positive multiple of {step}")
     return n
@@ -482,9 +483,14 @@ class _BathRK4:
 
 
 def _propagate_batch(Y0: np.ndarray, offset: int, out: np.ndarray, model: SiteExcitonModel,
-                     icfg: IntegratorConfig, record_dt: float) -> None:
+                     icfg: IntegratorConfig, record_dt: float) -> tuple[float, float]:
     """Fixed-step RK4 on a (n, dim) batch, written into `out` (n, n_records,
-    dim). Row r is absolute trajectory `offset` + r in error messages."""
+    dim). Row r is absolute trajectory `offset` + r in error messages.
+    Returns the batch's largest energy drift |E(t) - E(0)| in eV, through
+    `mm_energy` (so bit for bit `ensemble_energies`'), and largest
+    mapping-norm drift |N(t) - N(0)|, N = sum_k (x_k^2 + p_k^2)/2, both read
+    back from `out` after the loop. (Scoring every record inside the loop
+    instead raised `replay-V`'s peak RSS.)"""
     n_rec = out.shape[1]
     n_sub = _grid_steps(record_dt, icfg.dt_internal, "record_dt")
     out[:, 0] = Y0
@@ -503,16 +509,6 @@ def _propagate_batch(Y0: np.ndarray, offset: int, out: np.ndarray, model: SiteEx
                 raise IntegrationError(rec * record_dt,
                                        _variable_name(model, int(var)),
                                        offset + int(row))
-
-
-def _propagate_scored(Y0: np.ndarray, offset: int, out: np.ndarray, model: SiteExcitonModel,
-                      icfg: IntegratorConfig, record_dt: float) -> tuple[float, float]:
-    """`_propagate_batch`, then the batch's largest energy drift |E(t) - E(0)|
-    in eV, through `mm_energy` (so bit for bit `ensemble_energies`'), and
-    largest mapping-norm drift |N(t) - N(0)|, N = sum_k (x_k^2 + p_k^2)/2,
-    both read back from `out`. (Scoring every record inside the loop instead
-    raised `replay-V`'s peak RSS.)"""
-    _propagate_batch(Y0, offset, out, model, icfg, record_dt)
     energy = mm_energy(model, out)
     electronic = out[:, :, :2 * model.n_states]
     norm = 0.5 * np.sum(electronic * electronic, axis=2)
@@ -629,8 +625,7 @@ def run_ensemble(model: SiteExcitonModel, n_traj: int, init_state: int, seed: in
     _check_init_state(model, init_state)   # fail before sampling or starting workers
     n_rec = record_count(t_end, record_dt)
     _grid_steps(record_dt, icfg.dt_internal, "record_dt")
-    work = _propagate_batch if out is None else _propagate_scored
-    data, drifts = _map_chunks(work, n_traj,
+    data, drifts = _map_chunks(_propagate_batch, n_traj,
                                functools.partial(_sample_starts, model, init_state, seed),
                                (n_rec, model.dim), workers, model, icfg, record_dt, out=out)
     if out is not None:

@@ -364,18 +364,19 @@ class TrainDivergedError(RuntimeError):
         return (TrainDivergedError, (self.epoch, self.batch))
 
 
-def evaluate_loss(sequences: np.ndarray, params: LstmParams, seq_len: int) -> float:
+def evaluate_loss(sequences: np.ndarray, params: LstmParams) -> float:
     """Mean sequence loss over a (count, L, D) array, forward only."""
     if len(sequences) == 0:
         return float("nan")
     total = 0.0
     for start in range(0, len(sequences), EVAL_CHUNK):
         block = sequences[start:start + EVAL_CHUNK]
-        ys = np.empty((block.shape[0], seq_len - 1, params.dim))
+        targets = block[:, 1:, :]
+        ys = np.empty(targets.shape)
         _unroll(params, block[:, 0, :], ys)
-        np.subtract(ys, block[:, 1:, :], out=ys)   # in place: no second block
+        np.subtract(ys, targets, out=ys)   # in place: no second block
         total += np.sum(np.square(ys, out=ys))
-    return float(total / (sequences.shape[0] * (seq_len - 1) * sequences.shape[2]))
+    return float(total / sequences[:, 1:, :].size)
 
 
 def train(dataset: SequenceDataset, cfg: TrainConfig,
@@ -418,7 +419,7 @@ def train(dataset: SequenceDataset, cfg: TrainConfig,
                 params, adam = adam_step(params, grads, adam, cfg.learning_rate)
             del grads   # the validation pass runs beside three vectors
             train_losses.append(epoch_sq / dataset.n_train)
-            val = evaluate_loss(dataset.validation, params, cfg.seq_len)
+            val = evaluate_loss(dataset.validation, params)
             if not np.isfinite(val):
                 raise TrainDivergedError(epoch, None)
             val_losses.append(val)

@@ -1,10 +1,14 @@
 import csv
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import mmsqc
 from mmsqc.analysis import (
     BLOCK,
     RolloutConfig,
@@ -138,6 +142,34 @@ def test_rollout_dimension_check():
         rollout_trajectory(np.zeros(5), params, 10, 5, n_states=1)
 
 
+BAD_LENGTHS_PROBE = """
+import numpy as np
+from mmsqc.analysis import rollout_trajectory
+from mmsqc.surrogate import init_params
+
+params = init_params(3, 4, np.random.default_rng(0))
+for total_steps, seq_len in [(2, 1), (2, 0), (2, -1), (-1, 3)]:
+    try:
+        rollout_trajectory(np.zeros(3), params, total_steps, seq_len, n_states=1)
+    except ValueError as exc:
+        print(exc)
+"""
+
+
+def test_rollout_trajectory_refuses_short_chunks_and_negative_steps():
+    """seq_len < 2 and total_steps < 0 are refused with both values named.
+    The probe runs in a subprocess under a timeout, so a replay that never
+    ends fails the test instead of stalling the suite."""
+    src = os.path.dirname(os.path.dirname(mmsqc.__file__))
+    probe = subprocess.run([sys.executable, "-c", BAD_LENGTHS_PROBE],
+                           env={**os.environ, "PYTHONPATH": src},
+                           capture_output=True, text=True, timeout=60)
+    assert probe.returncode == 0, probe.stderr[-2000:]
+    assert probe.stdout.splitlines() == [
+        f"total_steps must be >= 0 and seq_len >= 2, got {total_steps} and {seq_len}"
+        for total_steps, seq_len in [(2, 1), (2, 0), (2, -1), (-1, 3)]]
+
+
 @pytest.mark.parametrize("record_dt", [0.0, -1.0, float("nan"), float("inf")])
 def test_rollout_config_refuses_bad_record_dt(record_dt):
     with pytest.raises(ValueError, match="record_dt must be finite and positive"):
@@ -189,7 +221,7 @@ def test_fan_out_error_names_absolute_trajectory(workers):
     starts[4, 0] = np.nan
     with pytest.raises(RolloutError) as err:
         _map_chunks(_rollout_chunk, len(starts), rows_of(starts), (7, model.dim), workers,
-                    params, _fold_readout(params), 6, 3)
+                    params, _fold_readout(params), 3)
     assert err.value.trajectory == 4
     assert err.value.step == 1
 
@@ -221,7 +253,7 @@ def test_rollout_block_edges(n_traj, seed):
     for workers in (1, 2):
         with pytest.raises(RolloutError) as err:
             _map_chunks(_rollout_chunk, len(starts), rows_of(starts), (8, model.dim), workers,
-                        params, _fold_readout(params), 7, 4, grain=BLOCK)
+                        params, _fold_readout(params), 4, grain=BLOCK)
         assert (err.value.step, err.value.trajectory) == (1, bad)
 
 
@@ -235,7 +267,7 @@ def test_replay_leaves_its_starts_alone(n_traj, seed):
     starts = _sample_starts(model, 0, seed, 0, n_traj)
     before = starts.tobytes()
     _rollout_chunk(starts, 0, np.empty((n_traj, 6, model.dim)), params,
-                   _fold_readout(params), 5, 3)
+                   _fold_readout(params), 3)
     assert starts.tobytes() == before
     rollout_trajectory(starts[n_traj - 1], params, 5, 3, model.n_states)
     assert starts.tobytes() == before
@@ -271,7 +303,7 @@ def test_rollout_error_names_first_failure_in_block(workers):
     assert steps == [11, 2, 2]
     with pytest.raises(RolloutError) as err:
         _map_chunks(_rollout_chunk, len(starts), rows_of(starts), (21, 2), workers, params,
-                    _fold_readout(params), 20, 30, grain=BLOCK)
+                    _fold_readout(params), 30, grain=BLOCK)
     assert (err.value.step, err.value.trajectory) == (2, early)
 
 

@@ -24,6 +24,7 @@ from mmsqc.sqc import (
     mm_energy,
     populations,
     propagate,
+    record_count,
     run_ensemble,
     sample_initial,
     ensemble_energies,
@@ -430,6 +431,23 @@ def test_grid_validation():
     for wrong in (np.zeros(model.dim - 1), np.zeros((1, model.dim))):
         with pytest.raises(ValueError, match="model I needs a \\(36,\\) initial state"):
             propagate(model, wrong, IntegratorConfig(0.01), t_end=10.0, record_dt=1.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(bad=st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan]) | st.floats(max_value=0.0))
+def test_grid_refuses_zero_negative_and_non_finite_lengths(bad):
+    """A record_dt or t_end that is zero, negative, infinite or NaN is
+    refused by name before anything divides by it."""
+    model = build_model("I")
+    on_grid = f"t_end: 10.0 is not a positive multiple of {bad}"
+    for message, call in [
+            (f"t_end: {bad} is not a positive multiple of 1.0", lambda: record_count(bad, 1.0)),
+            (on_grid, lambda: record_count(10.0, bad)),
+            (on_grid, lambda: propagate(model, np.zeros(model.dim), IntegratorConfig(0.01),
+                                        t_end=10.0, record_dt=bad)),
+            (on_grid, lambda: run_ensemble(model, 2, 0, 1, IntegratorConfig(0.01), 10.0, bad))]:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            call()
 
 
 @pytest.mark.parametrize("workers", [1, 2])

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from mmsqc import arrayio
+from mmsqc import arrayio, surrogate
 from mmsqc.dataset import SequenceDataset
 from mmsqc.streams import substream
 from mmsqc.surrogate import (
@@ -430,9 +430,9 @@ def test_evaluate_loss_holds_one_output_block():
     ys = np.empty((100, 19, 284))   # one output block: 4.3 MB
     _unroll(params, sequences[:, 0], ys)
     expected = float(np.sum((ys - sequences[:, 1:]) ** 2) / ys.size)
-    peak = traced_peak(lambda: evaluate_loss(sequences, params, 20))
+    peak = traced_peak(lambda: evaluate_loss(sequences, params))
     assert peak <= 1.5 * ys.nbytes
-    assert evaluate_loss(sequences, params, 20) == expected
+    assert evaluate_loss(sequences, params) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -750,12 +750,21 @@ def test_train_validates_config_against_dataset():
         train(ds, TrainConfig(seq_len=4, hidden=8, epochs=1))
 
 
-def test_evaluate_loss_matches_sequence_loss():
-    ds = tiny_dataset(seed=8)
+@settings(max_examples=30, deadline=None)
+@given(seq_len=st.integers(2, 6), chunk=st.integers(1, 4), chunks=st.integers(1, 2),
+       edge=st.sampled_from([-1, 0, 1]), seed=st.integers(0, 2**32 - 1))
+def test_evaluate_loss_matches_sequence_loss(seq_len, chunk, chunks, edge, seed):
+    """At any L, and for sequence counts on both sides of a chunk edge,
+    `evaluate_loss` reads L from its sequences and gives the loss of one
+    forward pass over all of them."""
+    count = max(1, chunks * chunk + edge)
+    sequences = np.random.default_rng(seed).normal(size=(count, seq_len, 4))
     params = random_params(4, 6, 71)
-    ys, _ = one_to_many_forward(ds.validation[:, 0, :], 5, params)
-    expected = sequence_loss(ys, ds.validation[:, 1:, :])
-    assert evaluate_loss(ds.validation, params, 5) == pytest.approx(expected, rel=1e-12)
+    ys, _ = one_to_many_forward(sequences[:, 0, :], seq_len, params)
+    expected = sequence_loss(ys, sequences[:, 1:, :])
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(surrogate, "EVAL_CHUNK", chunk)
+        assert evaluate_loss(sequences, params) == pytest.approx(expected, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
